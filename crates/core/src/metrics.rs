@@ -203,13 +203,12 @@ impl DegradationReport {
 /// and configuration.
 ///
 /// `PartialEq` compares every field (including the `f64` rates), which
-/// is exactly what the scheduler-equivalence and parallel-determinism
-/// tests need: two runs are "the same" only if they are bit-identical.
-/// The exceptions are [`RunReport::fast_path_coverage`] — an
-/// engine-dependent diagnostic (how much work the chosen engine
-/// retired off its fast path) — and [`RunReport::profile`] — host
-/// time, nondeterministic by nature; both are deliberately excluded
-/// from equality so reports stay engine- and host-independent.
+/// is exactly what the determinism and golden-report tests need: two
+/// runs are "the same" only if they are bit-identical. The exceptions
+/// are the two retired coverage diagnostics, always `0.0`, and
+/// [`RunReport::profile`] — host time, nondeterministic by nature; all
+/// three are deliberately excluded from equality so reports stay
+/// host-independent.
 #[derive(Debug, Clone)]
 pub struct RunReport {
     /// Scheme simulated.
@@ -260,38 +259,28 @@ pub struct RunReport {
     /// report differs from a pre-trace-layer run *only* by this empty
     /// block.
     pub latency: LatencyBreakdown,
-    /// Fraction of references the engine retired without touching the
-    /// scheduler heap — the sequential engine's fused fast path plus
-    /// the parallel engine's node-local phase. A coverage regression
-    /// here means references silently fell back to the slow path.
-    /// Engine-dependent: excluded from `PartialEq` (and zero for the
-    /// preserved exact engines).
+    /// Always `0.0`: the simulator has no fast path. Kept, and excluded
+    /// from `PartialEq`, so code that reads it (the `simbench`
+    /// benchmark) still compiles.
     pub fast_path_coverage: f64,
-    /// Fraction of references the parallel engine retired inside its
-    /// epoch-parallel phase (node-local retirements plus shard-granted
-    /// FAM retirements), before the sequential commit drain. Unlike
-    /// wall-clock speedup this is deterministic and thread-count
-    /// invariant — the admission scan is sequential — so it is the
-    /// portable measure of how much of a run the sharded engine can
-    /// take off the critical section. Engine-dependent: excluded from
-    /// `PartialEq` (zero for the sequential engines).
+    /// Always `0.0`: the simulator has no parallel phase. Kept for the
+    /// same reason as [`RunReport::fast_path_coverage`].
     pub parallel_phase_coverage: f64,
     /// Host-time profile of the run (empty unless
     /// `fam_sim::profile::set_enabled(true)` was in effect). Host
-    /// nanoseconds are nondeterministic by nature, so like
-    /// `fast_path_coverage` this is a diagnostic excluded from
-    /// `PartialEq` — profiled and unprofiled runs compare equal, and a
-    /// differential test pins that the *included* fields really are
-    /// bit-identical either way.
+    /// nanoseconds are nondeterministic by nature, so this is a
+    /// diagnostic excluded from `PartialEq` — profiled and unprofiled
+    /// runs compare equal, and a differential test pins that the
+    /// *included* fields really are bit-identical either way.
     pub profile: fam_sim::ProfileReport,
 }
 
 impl PartialEq for RunReport {
     fn eq(&self, other: &RunReport) -> bool {
-        // Every field except `fast_path_coverage` (a property of the
-        // engine that produced the report) and `profile` (host time,
-        // not simulated state). Destructure so adding a field without
-        // deciding its equality role fails to compile.
+        // Every field except the two always-zero coverage fields and
+        // `profile` (host time, not simulated state). Destructure so
+        // adding a field without deciding its equality role fails to
+        // compile.
         let RunReport {
             scheme,
             workload,
@@ -476,7 +465,7 @@ mod tests {
         let mut b = report(1.0);
         b.fast_path_coverage = 0.75;
         b.parallel_phase_coverage = 0.5;
-        assert_eq!(a, b, "coverage is an engine diagnostic, not a result");
+        assert_eq!(a, b, "coverage is not a result");
         b.cycles += 1;
         assert_ne!(a, b);
     }

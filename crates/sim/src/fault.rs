@@ -87,9 +87,8 @@ impl PersistentFault {
 
 /// When a [`PersistentFault`] strikes: at the `after_fam_ops`-th FAM
 /// operation (1-based) counted at the injector. Counting operations —
-/// not cycles or references — keeps the strike point identical across
-/// the sequential and parallel engines, whose per-cycle interleavings
-/// legitimately differ.
+/// not cycles or references — ties the strike point to the work done,
+/// not to how the scheduler interleaves cores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PersistentSchedule {
     /// The fault that strikes.

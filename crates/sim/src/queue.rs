@@ -77,11 +77,6 @@ impl<K: Ord> IndexedMinHeap<K> {
         self.pos[slot] != ABSENT
     }
 
-    /// The key `slot` is queued under, if present.
-    pub fn key_of(&self, slot: usize) -> Option<&K> {
-        self.keys[slot].as_ref()
-    }
-
     /// Inserts `slot` with `key`.
     ///
     /// # Panics

@@ -134,8 +134,7 @@ fn replayed_trace_survives_node_death_like_the_synthetic_run() {
     // stream only (faults strike at FAM-op ordinals, orthogonal to
     // where the refs come from), so a replayed trace under
     // `--kill-node` must reproduce the synthetic chaos run bit for
-    // bit — DegradationReport included — on the sequential and
-    // sharded engines alike.
+    // bit — DegradationReport included.
     let cfg = chaos(Scheme::DeactN).with_fault_injection(FaultConfig::persistent_only(
         11,
         PersistentFault::NodeDead { module: 1 },
@@ -151,17 +150,15 @@ fn replayed_trace_survives_node_death_like_the_synthetic_run() {
     )
     .unwrap();
     let synthetic = run_benchmark("sssp", cfg);
-    for threads in [1usize, 2] {
-        let streams =
-            fam_workloads::trace::replay_streams(&path, cfg.nodes, cfg.cores_per_node).unwrap();
-        let replayed = System::with_streams(cfg, "sssp", streams)
-            .try_run_parallel(threads)
-            .expect("replayed chaos run completes degraded");
-        assert_eq!(
-            replayed, synthetic,
-            "{threads}t: replayed chaos run diverged from synthetic"
-        );
-    }
+    let streams =
+        fam_workloads::trace::replay_streams(&path, cfg.nodes, cfg.cores_per_node).unwrap();
+    let replayed = System::with_streams(cfg, "sssp", streams)
+        .try_run()
+        .expect("replayed chaos run completes degraded");
+    assert_eq!(
+        replayed, synthetic,
+        "replayed chaos run diverged from synthetic"
+    );
     let d = &synthetic.degradation;
     assert!(!d.is_zero() && d.pages_quarantined > 0 && d.pages_lost > 0);
     std::fs::remove_file(&path).ok();
