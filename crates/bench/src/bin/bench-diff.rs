@@ -25,7 +25,7 @@
 use std::process::ExitCode;
 
 use fam_bench::diff::{diff, DiffConfig};
-use fam_bench::json::Json;
+use fam_sim::json::Json;
 
 fn usage() -> ExitCode {
     eprintln!(

@@ -22,7 +22,7 @@
 //! [`DiffReport::to_markdown`] renders the whole comparison as a
 //! markdown table suitable for a CI artifact or PR comment.
 
-use crate::json::Json;
+use fam_sim::json::Json;
 use std::collections::BTreeMap;
 
 /// Tolerances for [`diff`]. `Default` gives the CI gate's values.

@@ -17,15 +17,14 @@
 #![warn(missing_docs)]
 
 use std::collections::HashMap;
-use std::sync::{mpsc, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock};
 
 use deact::{RunReport, Scheme, SystemConfig};
-use fam_sim::{default_jobs, Stage, ThreadPool, TraceConfig};
+use fam_sim::{default_jobs, scoped_map, Stage, TraceConfig};
 use fam_workloads::{table3, Workload};
 
 pub mod diff;
 pub mod figs;
-pub mod json;
 pub mod paper;
 
 /// The benchmark roster in the paper's figure order.
@@ -33,12 +32,31 @@ pub fn benchmarks() -> Vec<&'static str> {
     table3().iter().map(|w| w.name).collect()
 }
 
-/// References per core from `DEACT_REFS`, defaulting to `default`.
+/// References per core from `DEACT_REFS`, defaulting to `default`
+/// when the variable is unset.
+///
+/// A value that is zero or not a number cannot be run: it prints a
+/// one-line `fam-bench: …` error and exits 1, as `deact-sim --refs 0`
+/// does.
 pub fn refs_from_env(default: u64) -> u64 {
-    std::env::var("DEACT_REFS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    let Ok(value) = std::env::var("DEACT_REFS") else {
+        return default;
+    };
+    parse_refs(&value).unwrap_or_else(|msg| {
+        eprintln!("fam-bench: {msg}");
+        std::process::exit(1)
+    })
+}
+
+/// Parses one `DEACT_REFS` value: a positive reference count.
+fn parse_refs(value: &str) -> Result<u64, String> {
+    match value.parse::<u64>() {
+        Ok(0) => Err("DEACT_REFS must be at least 1".to_string()),
+        Ok(n) => Ok(n),
+        Err(_) => Err(format!(
+            "DEACT_REFS takes a positive integer, not `{value}`"
+        )),
+    }
 }
 
 /// Parses one `DEACT_TRACE` value: `off`/`0`/`none` disables tracing,
@@ -56,7 +74,7 @@ pub fn parse_trace_mode(value: &str) -> Option<TraceConfig> {
 
 /// Tracer configuration from the `DEACT_TRACE` environment variable
 /// (see [`parse_trace_mode`]), defaulting to `default` when unset or
-/// unrecognised — the same contract as [`refs_from_env`].
+/// unrecognised.
 pub fn trace_from_env(default: TraceConfig) -> TraceConfig {
     std::env::var("DEACT_TRACE")
         .ok()
@@ -88,11 +106,12 @@ fn matrix_cache() -> &'static Mutex<HashMap<CacheKey, RunReport>> {
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-/// Runs every `(benchmark, scheme)` pair of the matrix across the
-/// bounded worker pool and collects the reports. Worker count comes
-/// from [`fam_sim::default_jobs`] (`DEACT_JOBS`, else available
-/// parallelism); repeated runs of the same configuration in one
-/// process are served from the memoized cache.
+/// Runs every `(benchmark, scheme)` pair of the matrix across a
+/// bounded set of scoped workers ([`fam_sim::scoped_map`]) and collects
+/// the reports. Worker count comes from [`fam_sim::default_jobs`]
+/// (`DEACT_JOBS`, else available parallelism); repeated runs of the
+/// same configuration in one process are served from the memoized
+/// cache.
 ///
 /// # Panics
 ///
@@ -135,31 +154,8 @@ pub fn run_matrix_opts(
     if todo.is_empty() {
         return matrix;
     }
-    let concurrent = if jobs <= 1 || todo.len() == 1 {
-        1
-    } else {
-        jobs.min(todo.len())
-    };
-    let results: Vec<((String, Scheme), RunReport)> = if concurrent <= 1 {
-        todo.iter()
-            .map(|(b, s)| ((b.clone(), *s), run_one(b, *s, cfg)))
-            .collect()
-    } else {
-        let pool = ThreadPool::new(concurrent);
-        let (tx, rx) = mpsc::channel();
-        for (b, s) in &todo {
-            let tx = tx.clone();
-            let (b, s) = (b.clone(), *s);
-            pool.execute(move || {
-                let report = run_one(&b, s, cfg);
-                let _ = tx.send(((b, s), report));
-            });
-        }
-        drop(tx);
-        let collected: Vec<_> = rx.iter().collect();
-        assert_eq!(collected.len(), todo.len(), "benchmark worker panicked");
-        collected
-    };
+    let reports = scoped_map(jobs, todo.len(), |i| run_one(&todo[i].0, todo[i].1, cfg));
+    let results: Vec<((String, Scheme), RunReport)> = todo.into_iter().zip(reports).collect();
     if use_cache {
         let mut cache = matrix_cache().lock().expect("run cache poisoned");
         for ((b, s), report) in &results {
@@ -404,6 +400,14 @@ mod tests {
     fn refs_env_fallback() {
         std::env::remove_var("DEACT_REFS");
         assert_eq!(refs_from_env(123), 123);
+    }
+
+    #[test]
+    fn refs_value_must_be_a_positive_integer() {
+        assert_eq!(parse_refs("2000"), Ok(2000));
+        assert!(parse_refs("0").unwrap_err().contains("at least 1"));
+        assert!(parse_refs("lots").unwrap_err().contains("`lots`"));
+        assert!(parse_refs("-5").is_err());
     }
 
     #[test]

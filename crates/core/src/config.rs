@@ -300,13 +300,6 @@ impl SystemConfig {
         self
     }
 
-    /// Sets the retry/timeout/backoff policy (see [`RetryConfig`]).
-    #[must_use]
-    pub fn with_retry(mut self, retry: RetryConfig) -> SystemConfig {
-        self.retry = retry;
-        self
-    }
-
     /// Sets the evacuation bandwidth in bytes per core cycle (see
     /// [`SystemConfig::evacuation_bytes_per_cycle`]).
     #[must_use]

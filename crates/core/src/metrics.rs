@@ -130,24 +130,6 @@ impl FaultRecovery {
     pub fn is_zero(&self) -> bool {
         *self == FaultRecovery::default()
     }
-
-    /// Accumulates another recovery record.
-    pub fn merge(&mut self, other: &FaultRecovery) {
-        self.injected_drops += other.injected_drops;
-        self.injected_corruptions += other.injected_corruptions;
-        self.injected_stale += other.injected_stale;
-        self.injected_stu_stalls += other.injected_stu_stalls;
-        self.timeouts += other.timeouts;
-        self.nacks_corrupt += other.nacks_corrupt;
-        self.nacks_stale += other.nacks_stale;
-        self.nacks_unreachable += other.nacks_unreachable;
-        self.retries += other.retries;
-        self.backoff_cycles += other.backoff_cycles;
-        self.link_down_wait_cycles += other.link_down_wait_cycles;
-        self.stu_stall_cycles += other.stu_stall_cycles;
-        self.recovered += other.recovered;
-        self.fatal += other.fatal;
-    }
 }
 
 /// What surviving a permanent failure cost: the broker-driven
@@ -515,7 +497,7 @@ mod tests {
 
     #[test]
     fn recovery_rate_and_merge() {
-        let mut a = FaultRecovery {
+        let a = FaultRecovery {
             injected_drops: 3,
             injected_corruptions: 2,
             retries: 5,
@@ -527,9 +509,5 @@ mod tests {
         assert_eq!(a.injected_total(), 5);
         assert!((a.recovery_rate() - 0.8).abs() < 1e-12);
         assert!(!a.is_zero());
-        a.merge(&a.clone());
-        assert_eq!(a.retries, 10);
-        assert_eq!(a.backoff_cycles, 1800);
-        assert_eq!(a.recovered, 8);
     }
 }

@@ -214,13 +214,6 @@ impl Node {
         phys_page - FAM_KEY_PAGE
     }
 
-    /// Converts an I-FAM/DeACT node-physical FAM-zone page to its zone
-    /// offset (used only for diagnostics; the real FAM page comes from
-    /// the system level).
-    pub fn fam_zone_offset(npa_page: u64) -> u64 {
-        npa_page - FAM_ZONE_PAGE
-    }
-
     /// Handles a node-level page fault for `vaddr`: the OS picks a
     /// zone (≈20% local DRAM, 80% FAM, §IV) and installs the mapping.
     /// For E-FAM the kernel asks the broker for the real FAM page

@@ -1,6 +1,7 @@
 //! The full-system model and simulation driver.
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 
 use fam_broker::{AccessKind, BrokerConfig, MemoryBroker, PageRelocation, Quarantine};
 use fam_fabric::packet::{Packet, PacketKind, RESPONSE_BYTES};
@@ -8,8 +9,8 @@ use fam_fabric::Fabric;
 use fam_mem::{MemOpKind, NvmModel};
 use fam_sim::profile::{self, PhaseId};
 use fam_sim::{
-    Cycle, Duration, FabricFault, FaultInjector, FreeList, IndexedMinHeap, PersistentFault,
-    RequestId, Stage, TraceEvent, Tracer, Track, WindowSample,
+    Cycle, Duration, FabricFault, FaultInjector, PersistentFault, RequestId, Stage, TraceEvent,
+    Tracer, Track, WindowSample,
 };
 use fam_stu::Stu;
 use fam_vm::{NodeId, Pte, VirtAddr, WalkAccess, PAGE_BYTES};
@@ -90,9 +91,9 @@ pub struct System {
     /// re-walk of one of these is a poisoned access, not an ordinary
     /// first touch.
     lost: BTreeMap<(NodeId, u64), u64>,
-    /// Recycled page-walk access buffers: a node-level walk plans into
-    /// one of these instead of allocating a fresh vector per walk.
-    walk_bufs: FreeList<Vec<WalkAccess>>,
+    /// The recycled page-walk access buffer: a node-level walk plans
+    /// into it instead of allocating a fresh vector per walk.
+    walk_buf: Vec<WalkAccess>,
 }
 
 impl System {
@@ -230,7 +231,7 @@ impl System {
             degradation: DegradationReport::default(),
             moved: BTreeMap::new(),
             lost: BTreeMap::new(),
-            walk_bufs: FreeList::new(),
+            walk_buf: Vec::new(),
             config,
         }
     }
@@ -238,11 +239,6 @@ impl System {
     /// The configuration in force.
     pub fn config(&self) -> &SystemConfig {
         &self.config
-    }
-
-    /// The memory broker (for inspection and shared-segment setup).
-    pub fn broker_mut(&mut self) -> &mut MemoryBroker {
-        &mut self.broker
     }
 
     /// The per-node STUs (empty for E-FAM).
@@ -253,22 +249,6 @@ impl System {
     /// The tracer (events, latency breakdowns, windowed time series).
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
-    }
-
-    /// One-line summary of contention internals, for diagnostics.
-    pub fn contention_summary(&self) -> String {
-        format!(
-            "nvm_stalls={} nvm_reads={} nvm_writes={} fabric_traversals={} core_stalls={:?}",
-            self.nvm.iter().map(NvmModel::admission_stalls).sum::<u64>(),
-            self.nvm.iter().map(NvmModel::reads).sum::<u64>(),
-            self.nvm.iter().map(NvmModel::writes).sum::<u64>(),
-            self.fabric.traversals(),
-            self.nodes[0]
-                .cores
-                .iter()
-                .map(|c| c.window.stalls())
-                .collect::<Vec<_>>()
-        )
     }
 
     /// Runs every core to `refs_per_core` references and reports.
@@ -284,16 +264,17 @@ impl System {
     /// Runs every core to `refs_per_core` references and reports,
     /// surfacing failures as a typed [`SimError`] instead of a panic.
     ///
-    /// The scheduler is an indexed min-heap keyed on `(ready_cycle,
-    /// slot)`, where `slot = node * cores_per_node + core`: one pop plus
-    /// one re-insert per reference. References execute in ready order,
-    /// so the shared-resource timelines advance in time order (running a
+    /// The scheduler is a min-heap of `(ready_cycle, slot)` entries,
+    /// where `slot = node * cores_per_node + core`: one pop plus one
+    /// push per reference. References execute in ready order, so the
+    /// shared-resource timelines advance in time order (running a
     /// far-future request first would push a resource's timeline past
     /// everyone else's present). The explicit slot tie-break makes the
     /// order among equal ready times deterministic, and a core's
     /// predicted ready time depends only on its own front end and
-    /// outstanding window, so only the core that just executed needs
-    /// re-keying.
+    /// outstanding window, so only the core that just executed is
+    /// pushed back: a slot is in the heap at most once, and no entry
+    /// ever needs re-keying.
     ///
     /// # Errors
     ///
@@ -302,13 +283,12 @@ impl System {
     pub fn try_run(&mut self) -> Result<RunReport, SimError> {
         let refs = self.config.refs_per_core;
         let cores_per_node = self.config.cores_per_node;
-        let mut ready_queue: IndexedMinHeap<(Cycle, usize)> =
-            IndexedMinHeap::new(self.nodes.len() * cores_per_node);
+        let mut ready_queue = BinaryHeap::with_capacity(self.nodes.len() * cores_per_node);
         for n in 0..self.nodes.len() {
             for c in 0..self.nodes[n].cores.len() {
                 if self.nodes[n].cores[c].refs_done < refs {
                     let slot = n * cores_per_node + c;
-                    ready_queue.insert(slot, (self.stage_ref(n, c), slot));
+                    ready_queue.push(Reverse((self.stage_ref(n, c), slot)));
                 }
             }
         }
@@ -317,11 +297,13 @@ impl System {
                 let _prof = profile::span(PhaseId::SchedPop);
                 ready_queue.pop()
             };
-            let Some((slot, _)) = popped else { break };
+            let Some(Reverse((_, slot))) = popped else {
+                break;
+            };
             let (n, c) = (slot / cores_per_node, slot % cores_per_node);
             self.sim_ref(n, c)?;
             if self.nodes[n].cores[c].refs_done < refs {
-                ready_queue.insert(slot, (self.stage_ref(n, c), slot));
+                ready_queue.push(Reverse((self.stage_ref(n, c), slot)));
             }
         }
         Ok(self.report())
@@ -486,11 +468,11 @@ impl System {
         if let Some(pte) = hit {
             return Ok((pte, t));
         }
-        // Recycled walk buffer: plans land in a pooled vector instead
-        // of a fresh allocation per walk. On early `?` returns the
-        // buffer is dropped rather than recycled — harmless, the pool
-        // refills on demand.
-        let mut walk_buf = self.walk_bufs.get();
+        // Recycled walk buffer: plans land in the system's one vector
+        // instead of a fresh allocation per walk. On early `?` returns
+        // the buffer is dropped rather than put back — harmless, the
+        // next walk allocates a new one.
+        let mut walk_buf = std::mem::take(&mut self.walk_buf);
         loop {
             let mapping = {
                 let node = &mut self.nodes[n];
@@ -569,7 +551,7 @@ impl System {
                         }
                     }
                     self.nodes[n].cores[c].tlb.fill(vpage, pte);
-                    self.walk_bufs.put(walk_buf);
+                    self.walk_buf = walk_buf;
                     return Ok((pte, t));
                 }
             }

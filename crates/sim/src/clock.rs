@@ -161,11 +161,6 @@ impl Frequency {
         Frequency::mhz(ghz * 1000)
     }
 
-    /// The frequency in megahertz.
-    pub fn as_mhz(self) -> u64 {
-        self.mhz
-    }
-
     /// Converts a nanosecond latency to cycles, rounding up so that a
     /// non-zero latency is never lost to truncation.
     pub fn ns_to_cycles(self, ns: u64) -> Duration {

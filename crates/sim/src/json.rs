@@ -1,11 +1,14 @@
-//! A minimal JSON reader for the benchmark artifacts.
+//! A minimal JSON reader.
 //!
 //! The workspace builds hermetically (no external crates), and the
-//! only JSON this harness ever reads is the `deact-microbench-v1`
-//! schema its own `microbench --out` writer produces: flat objects,
-//! one array of records, ASCII strings, finite numbers. This parser
-//! covers full JSON anyway — escapes, nesting, scientific notation —
-//! so a hand-edited baseline cannot silently mis-parse.
+//! only JSON it ever reads is its own output: the `deact-microbench-v1`
+//! schema that `microbench --out` writes (read back by `bench-diff`)
+//! and the Chrome trace-event files that
+//! [`trace::write_chrome_trace`](crate::trace::write_chrome_trace)
+//! exports (checked by
+//! [`trace::validate_chrome_json`](crate::trace::validate_chrome_json)).
+//! The parser covers full JSON anyway — escapes, nesting, scientific
+//! notation — so a hand-edited baseline cannot silently mis-parse.
 
 use std::collections::BTreeMap;
 

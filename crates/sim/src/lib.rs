@@ -6,17 +6,16 @@
 //! * [`Cycle`] / [`Duration`] — a cycle-granular clock (the whole system
 //!   is simulated in CPU cycles; [`Frequency`] converts nanoseconds to
 //!   cycles at a configurable core frequency).
-//! * [`IndexedMinHeap`] — an indexed min-priority queue supporting
-//!   O(log n) re-keying by slot id, the core of the event-driven
-//!   reference scheduler.
-//! * [`ThreadPool`] / [`scoped_map`] — a bounded work-queue thread pool
-//!   and a scoped bounded parallel map, the substrate of the experiment
-//!   harness's sweep engine.
+//! * [`scoped_map`] — a scoped, bounded parallel map returning results
+//!   in index order, the substrate of the experiment harness's sweep
+//!   engine.
 //! * [`Resource`] / [`BankedResource`] / [`Window`] — contention
 //!   primitives: a serially-occupied unit (a DRAM channel, a fabric
-//!   link), a set of independently occupied banks (NVM banks), and a
-//!   bounded window of outstanding operations (a core's outstanding
-//!   request budget or a memory device's outstanding-request cap).
+//!   link) whose busy intervals live in a `VecDeque` capped at
+//!   [`MAX_INTERVALS`], a set of independently occupied banks (NVM
+//!   banks), and a bounded window of outstanding operations (a core's
+//!   outstanding request budget or a memory device's
+//!   outstanding-request cap).
 //! * [`stats`] — counters, ratios and histograms that every component
 //!   uses to report the quantities the paper plots.
 //! * [`SimRng`] — a small, seedable RNG so every simulation is
@@ -35,6 +34,8 @@
 //! * [`registry`] — a unified named metrics [`Registry`] with
 //!   snapshot/diff/merge, the substrate of end-of-run conservation
 //!   audits.
+//! * [`json`] — a minimal JSON reader, used to check the trace exporter
+//!   and to read benchmark artifacts back.
 //!
 //! # Examples
 //!
@@ -56,14 +57,13 @@
 mod clock;
 mod fault;
 pub mod hash;
+pub mod json;
 mod pool;
 pub mod profile;
-mod queue;
 pub mod registry;
 mod resource;
 mod rng;
 pub mod stats;
-pub mod timeline;
 pub mod trace;
 mod window;
 
@@ -71,11 +71,10 @@ pub use clock::{Cycle, Duration, Frequency};
 pub use fault::{
     FabricFault, FaultConfig, FaultInjector, FaultStats, PersistentFault, PersistentSchedule,
 };
-pub use pool::{default_jobs, scoped_map, FreeList, ThreadPool};
+pub use pool::{default_jobs, scoped_map};
 pub use profile::{PhaseId, PhaseStat, ProfileReport};
-pub use queue::IndexedMinHeap;
 pub use registry::{Metric, Registry};
-pub use resource::{BankedResource, Resource};
+pub use resource::{BankedResource, Resource, MAX_INTERVALS};
 pub use rng::SimRng;
 pub use trace::{
     LatencyBreakdown, RequestId, Stage, TraceConfig, TraceEvent, Tracer, Track, WindowSample,

@@ -1,143 +1,19 @@
-//! A bounded work-queue thread pool for the sweep engines.
+//! Bounded parallelism for the sweep engine.
 //!
 //! The experiment harness fans a benchmark × scheme matrix out across
-//! worker threads. Spawning one OS thread per job (the seed behaviour)
-//! oversubscribes the host as soon as a sweep has more points than the
-//! machine has cores — a 14-benchmark × 4-scheme matrix spawned 56
-//! threads at once. This module provides the two std-only primitives
-//! the harness uses instead:
-//!
-//! * [`ThreadPool`] — a fixed set of workers draining a shared job
-//!   queue; jobs are `'static` closures and results travel back through
-//!   whatever channel the submitter provides.
-//! * [`scoped_map`] — a bounded parallel map over `0..n` for borrowed
-//!   data, built on `std::thread::scope`, returning results in index
-//!   order regardless of completion order (determinism is preserved by
-//!   construction).
+//! worker threads. Spawning one OS thread per job oversubscribes the
+//! host as soon as a sweep has more points than the machine has cores
+//! (a 14-benchmark × 4-scheme matrix is 56 runs), so [`scoped_map`]
+//! runs a bounded number of scoped workers over `0..n` and returns the
+//! results in index order regardless of completion order: determinism
+//! is preserved by construction, and a worker panic reaches the caller
+//! when the scope ends.
 //!
 //! Worker-count policy lives in [`default_jobs`]: the `DEACT_JOBS`
 //! environment variable wins, otherwise `available_parallelism`.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
-
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-struct PoolState {
-    jobs: VecDeque<Job>,
-    shutdown: bool,
-}
-
-struct PoolShared {
-    state: Mutex<PoolState>,
-    work_ready: Condvar,
-}
-
-/// A fixed-size pool of worker threads draining a shared job queue.
-///
-/// Dropping the pool signals shutdown and joins every worker; jobs
-/// already queued still run to completion first, so a submitter that
-/// drops the pool after its result channel closes never loses work.
-///
-/// # Examples
-///
-/// ```
-/// use fam_sim::ThreadPool;
-/// use std::sync::mpsc;
-///
-/// let pool = ThreadPool::new(2);
-/// let (tx, rx) = mpsc::channel();
-/// for i in 0..8u64 {
-///     let tx = tx.clone();
-///     pool.execute(move || tx.send(i * i).unwrap());
-/// }
-/// drop(tx);
-/// let mut squares: Vec<u64> = rx.iter().collect();
-/// squares.sort_unstable();
-/// assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
-/// ```
-pub struct ThreadPool {
-    shared: Arc<PoolShared>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-impl std::fmt::Debug for ThreadPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ThreadPool")
-            .field("threads", &self.workers.len())
-            .finish()
-    }
-}
-
-impl ThreadPool {
-    /// Creates a pool with `threads` workers (at least one).
-    pub fn new(threads: usize) -> ThreadPool {
-        let shared = Arc::new(PoolShared {
-            state: Mutex::new(PoolState {
-                jobs: VecDeque::new(),
-                shutdown: false,
-            }),
-            work_ready: Condvar::new(),
-        });
-        let workers = (0..threads.max(1))
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || loop {
-                    let job = {
-                        let mut state = shared.state.lock().expect("pool state poisoned");
-                        loop {
-                            if let Some(job) = state.jobs.pop_front() {
-                                break job;
-                            }
-                            if state.shutdown {
-                                return;
-                            }
-                            state = shared.work_ready.wait(state).expect("pool state poisoned");
-                        }
-                    };
-                    job();
-                    // Long-lived workers publish any profiler spans the
-                    // job recorded as soon as it completes.
-                    if crate::profile::is_enabled() {
-                        crate::profile::flush_thread();
-                    }
-                })
-            })
-            .collect();
-        ThreadPool { shared, workers }
-    }
-
-    /// Number of worker threads.
-    pub fn threads(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// Enqueues a job; some worker will run it.
-    pub fn execute(&self, job: impl FnOnce() + Send + 'static) {
-        let mut state = self.shared.state.lock().expect("pool state poisoned");
-        state.jobs.push_back(Box::new(job));
-        drop(state);
-        self.shared.work_ready.notify_one();
-    }
-}
-
-impl Drop for ThreadPool {
-    fn drop(&mut self) {
-        self.shared
-            .state
-            .lock()
-            .expect("pool state poisoned")
-            .shutdown = true;
-        self.shared.work_ready.notify_all();
-        for worker in self.workers.drain(..) {
-            // A panicked job already unwound its worker; joining the
-            // remains must not hide the submitter's own error handling.
-            let _ = worker.join();
-        }
-    }
-}
+use std::sync::Mutex;
 
 /// Worker count: `DEACT_JOBS` if set and positive, otherwise the host's
 /// available parallelism.
@@ -156,11 +32,11 @@ pub fn default_jobs() -> usize {
 /// Runs `f(0..n)` across at most `threads` scoped workers and returns
 /// the results in index order.
 ///
-/// Unlike [`ThreadPool`], `f` may borrow from the caller's stack: the
-/// workers live inside a `std::thread::scope`. Work is handed out by an
-/// atomic cursor, so the mapping of items to threads is dynamic but the
-/// returned vector is always `[f(0), f(1), …, f(n-1)]` — parallelism
-/// never changes the output.
+/// `f` may borrow from the caller's stack: the workers live inside a
+/// `std::thread::scope`. Work is handed out by an atomic cursor, so the
+/// mapping of items to threads is dynamic but the returned vector is
+/// always `[f(0), f(1), …, f(n-1)]` — parallelism never changes the
+/// output.
 ///
 /// # Panics
 ///
@@ -216,148 +92,9 @@ where
         .collect()
 }
 
-/// A bounded free list recycling heap-backed scratch values (walk-plan
-/// buffers, packet frames) across uses, so steady-state simulation
-/// performs no per-operation allocation.
-///
-/// `get` hands out a recycled value or a fresh [`Default`] one; `put`
-/// returns a value for reuse. The list is deliberately dumb: values are
-/// returned as-is (callers reset them — e.g. `Vec::clear` — at the use
-/// site, where the invariant is visible), and a value not `put` back is
-/// simply dropped, so early returns and error paths need no cleanup.
-///
-/// # Examples
-///
-/// ```
-/// use fam_sim::FreeList;
-///
-/// let mut pool: FreeList<Vec<u64>> = FreeList::new();
-/// let mut buf = pool.get();
-/// buf.extend([1, 2, 3]);
-/// let cap = buf.capacity();
-/// pool.put(buf);
-/// let reused = pool.get();
-/// assert_eq!(reused.capacity(), cap); // allocation recycled
-/// ```
-#[derive(Debug)]
-pub struct FreeList<T> {
-    items: Vec<T>,
-}
-
-/// Retention cap: beyond this the list drops returned values instead
-/// of hoarding them (a burst of concurrent scratch buffers should not
-/// pin memory forever).
-const FREE_LIST_CAP: usize = 64;
-
-impl<T: Default> FreeList<T> {
-    /// Creates an empty free list.
-    pub fn new() -> FreeList<T> {
-        FreeList { items: Vec::new() }
-    }
-
-    /// A recycled value, or `T::default()` when the list is empty.
-    pub fn get(&mut self) -> T {
-        self.items.pop().unwrap_or_default()
-    }
-
-    /// Returns a value to the list for reuse (dropped if the list is
-    /// at capacity).
-    pub fn put(&mut self, item: T) {
-        if self.items.len() < FREE_LIST_CAP {
-            self.items.push(item);
-        }
-    }
-
-    /// Values currently held for reuse.
-    pub fn held(&self) -> usize {
-        self.items.len()
-    }
-}
-
-impl<T: Default> Default for FreeList<T> {
-    fn default() -> FreeList<T> {
-        FreeList::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::mpsc;
-
-    #[test]
-    fn free_list_recycles_capacity() {
-        let mut pool: FreeList<Vec<u8>> = FreeList::new();
-        let mut v = pool.get();
-        v.reserve(1024);
-        let cap = v.capacity();
-        pool.put(v);
-        assert_eq!(pool.held(), 1);
-        assert!(pool.get().capacity() >= cap);
-        assert_eq!(pool.held(), 0);
-    }
-
-    #[test]
-    fn free_list_bounds_retention() {
-        let mut pool: FreeList<Vec<u8>> = FreeList::new();
-        for _ in 0..(FREE_LIST_CAP + 10) {
-            pool.put(Vec::new());
-        }
-        assert_eq!(pool.held(), FREE_LIST_CAP);
-    }
-
-    #[test]
-    fn pool_runs_all_jobs() {
-        let pool = ThreadPool::new(3);
-        assert_eq!(pool.threads(), 3);
-        let (tx, rx) = mpsc::channel();
-        for i in 0..50u64 {
-            let tx = tx.clone();
-            pool.execute(move || tx.send(i).unwrap());
-        }
-        drop(tx);
-        let mut got: Vec<u64> = rx.iter().collect();
-        got.sort_unstable();
-        assert_eq!(got, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn pool_drop_drains_queued_jobs() {
-        let counter = Arc::new(AtomicUsize::new(0));
-        {
-            let pool = ThreadPool::new(1);
-            for _ in 0..20 {
-                let counter = Arc::clone(&counter);
-                pool.execute(move || {
-                    counter.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-        } // drop joins
-        assert_eq!(counter.load(Ordering::Relaxed), 20);
-    }
-
-    #[test]
-    fn pool_survives_a_panicking_job() {
-        let pool = ThreadPool::new(2);
-        let (tx, rx) = mpsc::channel();
-        pool.execute(|| panic!("job panic"));
-        for i in 0..10u64 {
-            let tx = tx.clone();
-            pool.execute(move || tx.send(i).unwrap());
-        }
-        drop(tx);
-        // The panicked worker is gone, but the surviving worker drains
-        // the queue; the submitter sees a short result set only if jobs
-        // were lost — which they must not be here.
-        let got: Vec<u64> = rx.iter().collect();
-        assert_eq!(got.len(), 10);
-    }
-
-    #[test]
-    fn pool_zero_threads_clamps_to_one() {
-        let pool = ThreadPool::new(0);
-        assert_eq!(pool.threads(), 1);
-    }
 
     #[test]
     fn scoped_map_orders_results_by_index() {
@@ -378,6 +115,14 @@ mod tests {
         let data = [String::from("a"), String::from("bb")];
         let lens = scoped_map(2, data.len(), |i| data[i].len());
         assert_eq!(lens, vec![1, 2]);
+    }
+
+    #[test]
+    #[should_panic]
+    fn scoped_map_reraises_a_worker_panic() {
+        // Every item panics, so every worker dies; the caller must see
+        // the panic rather than wait for results that never come.
+        let _: Vec<u64> = scoped_map(2, 8, |i| panic!("item {i}"));
     }
 
     #[test]

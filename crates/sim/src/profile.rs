@@ -70,7 +70,7 @@ pub enum PhaseId {
     /// Never entered, for the same reason as
     /// [`PhaseId::FastpathClassify`].
     FastpathRetire,
-    /// Event-queue scheduler pop + re-key bookkeeping.
+    /// Scheduler heap pop.
     SchedPop,
     /// Full per-reference dispatch through the scheduler (`sim_ref`).
     SchedDispatch,

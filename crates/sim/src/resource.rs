@@ -1,7 +1,15 @@
 //! Contended hardware resources modelled as busy-interval timelines.
 
-use crate::timeline::Timeline;
+use std::collections::VecDeque;
+
 use crate::{Cycle, Duration};
+
+/// Busy intervals a [`Resource`] retains. Older intervals are
+/// forgotten (treated as free), which bounds memory for arbitrarily
+/// long runs: before a push or an insert into a full timeline the
+/// oldest interval is dropped, and an insert that would itself become
+/// the oldest interval of a full timeline is forgotten at once.
+pub const MAX_INTERVALS: usize = 256;
 
 /// A serially-occupied hardware unit: a DRAM channel, a fabric link, an
 /// STU lookup port.
@@ -30,10 +38,9 @@ use crate::{Cycle, Duration};
 #[derive(Debug, Clone)]
 pub struct Resource {
     occupancy: Duration,
-    /// Sorted, non-overlapping (start, end) busy intervals. Bounded:
-    /// the oldest intervals are forgotten (treated as free) past
-    /// [`crate::timeline::MAX_INTERVALS`], bounding memory for long runs.
-    intervals: Timeline,
+    /// Sorted, non-overlapping (start, end) busy intervals, at most
+    /// [`MAX_INTERVALS`] of them (oldest first).
+    intervals: VecDeque<(u64, u64)>,
     busy: Duration,
     requests: u64,
 }
@@ -43,7 +50,7 @@ impl Resource {
     pub fn new(occupancy: u64) -> Resource {
         Resource {
             occupancy: Duration(occupancy),
-            intervals: Timeline::new(),
+            intervals: VecDeque::new(),
             busy: Duration::ZERO,
             requests: 0,
         }
@@ -65,24 +72,23 @@ impl Resource {
         }
         let mut start = now.0;
         // Fast path: an arrival at or after the busy frontier appends a
-        // fresh interval — no search, no mid-ring insertion. Back-to-back
-        // service extends the frontier interval in place: the busy-set
-        // is identical and the timeline stays short, which keeps every
-        // later search and insertion cheap.
-        match self.intervals.back() {
-            Some((s, end)) if end == start => {
-                self.intervals.set_back((s, start + occupancy.0));
+        // fresh interval — no search, no mid-timeline insertion.
+        // Back-to-back service extends the frontier interval in place:
+        // the busy-set is identical and the timeline stays short, which
+        // keeps every later search and insertion cheap.
+        match self.intervals.back_mut() {
+            Some((_, end)) if *end == start => {
+                *end = start + occupancy.0;
                 return Cycle(start);
             }
-            Some((_, end)) if end < start => {
+            Some((_, end)) if *end > start => {}
+            _ => {
+                if self.intervals.len() == MAX_INTERVALS {
+                    self.intervals.pop_front();
+                }
                 self.intervals.push_back((start, start + occupancy.0));
                 return Cycle(start);
             }
-            None => {
-                self.intervals.push_back((start, start + occupancy.0));
-                return Cycle(start);
-            }
-            _ => {}
         }
         // Backfill: find the first interval that ends after our
         // candidate start (ends are strictly increasing across the
@@ -92,49 +98,48 @@ impl Resource {
         // reservations), so a short contiguous walk back from the
         // newest interval beats a binary search's scattered probes;
         // the search is the fallback for the rare deep backfill.
-        let mut idx = self.intervals.len();
+        let ivs = &mut self.intervals;
+        let mut idx = ivs.len();
         let floor = idx.saturating_sub(64);
-        while idx > floor && self.intervals.get(idx - 1).1 > start {
+        while idx > floor && ivs[idx - 1].1 > start {
             idx -= 1;
         }
-        if idx == floor && idx > 0 && self.intervals.get(idx - 1).1 > start {
-            idx = self.intervals.first_ending_after(start);
+        if idx == floor && idx > 0 && ivs[idx - 1].1 > start {
+            idx = ivs.partition_point(|&(_, e)| e <= start);
         }
         loop {
-            let next_busy_start = if idx < self.intervals.len() {
-                self.intervals.get(idx).0
-            } else {
-                u64::MAX
-            };
+            let next_busy_start = ivs.get(idx).map_or(u64::MAX, |iv| iv.0);
             let end = start.saturating_add(occupancy.0);
             if end <= next_busy_start {
                 // Coalesce with whichever neighbours this interval
                 // abuts — the busy-set is unchanged, but runs of
                 // back-to-back service collapse into single intervals
                 // instead of fragmenting the timeline.
-                let abuts_prev = idx > 0 && self.intervals.get(idx - 1).1 == start;
-                let abuts_next = idx < self.intervals.len() && end == next_busy_start;
+                let abuts_prev = idx > 0 && ivs[idx - 1].1 == start;
+                let abuts_next = idx < ivs.len() && end == next_busy_start;
                 match (abuts_prev, abuts_next) {
                     (true, true) => {
-                        let merged = (self.intervals.get(idx - 1).0, self.intervals.get(idx).1);
-                        self.intervals.set(idx - 1, merged);
-                        self.intervals.remove(idx);
+                        ivs[idx - 1].1 = ivs[idx].1;
+                        ivs.remove(idx);
                     }
-                    (true, false) => {
-                        let prev = self.intervals.get(idx - 1);
-                        self.intervals.set(idx - 1, (prev.0, end));
-                    }
-                    (false, true) => {
-                        let next = self.intervals.get(idx);
-                        self.intervals.set(idx, (start, next.1));
-                    }
+                    (true, false) => ivs[idx - 1].1 = end,
+                    (false, true) => ivs[idx].0 = start,
                     (false, false) => {
-                        self.intervals.insert(idx, (start, end));
+                        if ivs.len() == MAX_INTERVALS {
+                            // The new interval would be the oldest
+                            // retained one: forget it at once.
+                            if idx == 0 {
+                                break;
+                            }
+                            ivs.pop_front();
+                            idx -= 1;
+                        }
+                        ivs.insert(idx, (start, end));
                     }
                 }
                 break;
             }
-            start = self.intervals.get(idx).1;
+            start = ivs[idx].1;
             idx += 1;
         }
         Cycle(start)
@@ -143,7 +148,7 @@ impl Resource {
     /// The end of the latest busy interval (the resource is certainly
     /// free after this point).
     pub fn next_free(&self) -> Cycle {
-        Cycle(self.intervals.back().map(|(_, e)| e).unwrap_or(0))
+        Cycle(self.intervals.back().map_or(0, |&(_, e)| e))
     }
 
     /// Total cycles this resource has been occupied.
@@ -236,11 +241,6 @@ impl BankedResource {
         }
     }
 
-    /// Number of banks.
-    pub fn bank_count(&self) -> usize {
-        self.banks.len()
-    }
-
     /// Total requests across all banks.
     pub fn requests(&self) -> u64 {
         self.banks.iter().map(Resource::requests).sum()
@@ -328,6 +328,63 @@ mod tests {
         }
         assert_eq!(r.requests(), 10_000);
         assert!(r.next_free() > Cycle(99_000));
+    }
+
+    /// `n` disjoint one-cycle intervals at `first`, `first + 10`, ….
+    fn disjoint(n: u64, first: u64) -> Resource {
+        let mut r = Resource::new(1);
+        for i in 0..n {
+            r.acquire(Cycle(first + i * 10));
+        }
+        r
+    }
+
+    #[test]
+    fn push_past_capacity_forgets_the_oldest() {
+        let mut r = disjoint(MAX_INTERVALS as u64 + 3, 0);
+        // The intervals at 0, 10 and 20 were dropped: that time is free.
+        assert_eq!(r.acquire(Cycle(20)), Cycle(20));
+        // The oldest retained interval, at 30, still blocks.
+        assert_eq!(r.acquire(Cycle(30)), Cycle(31));
+    }
+
+    #[test]
+    fn insert_into_full_timeline_drops_oldest() {
+        let mut r = disjoint(MAX_INTERVALS as u64, 0);
+        assert_eq!(r.acquire(Cycle(44)), Cycle(44), "backfills a gap");
+        assert_eq!(r.acquire(Cycle(0)), Cycle(0), "the oldest was dropped");
+        assert_eq!(r.acquire(Cycle(44)), Cycle(45), "the backfill was kept");
+    }
+
+    #[test]
+    fn insert_at_front_of_full_timeline_is_forgotten() {
+        let mut r = disjoint(MAX_INTERVALS as u64, 10);
+        assert_eq!(r.acquire(Cycle(0)), Cycle(0));
+        // It would have been the oldest retained interval: forgotten.
+        assert_eq!(r.acquire(Cycle(0)), Cycle(0));
+        assert_eq!(r.acquire(Cycle(10)), Cycle(11), "nothing else dropped");
+    }
+
+    #[test]
+    fn deep_backfill_finds_the_first_fitting_gap() {
+        // Far more intervals than the short backward walk covers, so the
+        // arrival is located by the search.
+        let mut r = disjoint(200, 0);
+        assert_eq!(r.acquire_for(Cycle(57), Duration(3)), Cycle(57));
+        // [100, 101) is busy; the 9-cycle job fills [101, 110) exactly
+        // and coalesces with both neighbours.
+        assert_eq!(r.acquire_for(Cycle(100), Duration(9)), Cycle(101));
+        assert_eq!(r.acquire(Cycle(100)), Cycle(111));
+    }
+
+    #[test]
+    fn deep_backfill_searches_a_wrapped_timeline() {
+        // Twice the retention: the deque has dropped its first half.
+        let n = 2 * MAX_INTERVALS as u64;
+        let mut r = disjoint(n, 0);
+        let mid = (n - MAX_INTERVALS as u64 / 2) * 10;
+        assert_eq!(r.acquire(Cycle(mid)), Cycle(mid + 1));
+        assert_eq!(r.acquire(Cycle(mid + 5)), Cycle(mid + 5));
     }
 
     #[test]

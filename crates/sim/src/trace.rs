@@ -35,6 +35,7 @@
 use std::fmt;
 use std::io::{self, Write};
 
+use crate::json::Json;
 use crate::stats::Histogram;
 use crate::Cycle;
 
@@ -733,178 +734,22 @@ pub fn write_chrome_trace<W: Write>(
 /// Validates that `text` is well-formed JSON whose top-level object
 /// has a `traceEvents` array, returning the number of events in that
 /// array — the workspace is dependency-free, so CI and the tests
-/// validate the exporter with this hand-rolled recursive-descent
-/// parser instead of a JSON crate.
+/// validate the exporter with the workspace's own [`Json`] reader
+/// instead of a JSON crate.
 ///
 /// # Errors
 ///
 /// Returns a human-readable description of the first syntax problem,
-/// or of a missing `traceEvents` array.
+/// of a non-object top level, or of a missing `traceEvents` array.
 pub fn validate_chrome_json(text: &str) -> Result<usize, String> {
-    let mut p = JsonParser {
-        bytes: text.as_bytes(),
-        pos: 0,
-        trace_events: None,
-    };
-    p.skip_ws();
-    if p.peek() != Some(b'{') {
+    let doc = Json::parse(text)?;
+    if !matches!(doc, Json::Obj(_)) {
         return Err("top level must be an object".into());
     }
-    p.object(0)?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing garbage at byte {}", p.pos));
-    }
-    p.trace_events
+    doc.get("traceEvents")
+        .and_then(Json::as_array)
+        .map(<[Json]>::len)
         .ok_or_else(|| "no traceEvents array at the top level".into())
-}
-
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    trace_events: Option<usize>,
-}
-
-impl JsonParser<'_> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn bump(&mut self) -> Option<u8> {
-        let b = self.peek();
-        self.pos += b.map_or(0, |_| 1);
-        b
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        self.skip_ws();
-        if self.bump() == Some(b) {
-            Ok(())
-        } else {
-            Err(format!(
-                "expected '{}' at byte {}",
-                b as char,
-                self.pos.saturating_sub(1)
-            ))
-        }
-    }
-
-    fn value(&mut self, depth: usize) -> Result<(), String> {
-        if depth > 64 {
-            return Err("nesting too deep".into());
-        }
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(depth),
-            Some(b'[') => {
-                self.array(depth)?;
-                Ok(())
-            }
-            Some(b'"') => self.string(),
-            Some(b't') => self.literal("true"),
-            Some(b'f') => self.literal("false"),
-            Some(b'n') => self.literal("null"),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            other => Err(format!("unexpected {other:?} at byte {}", self.pos)),
-        }
-    }
-
-    fn object(&mut self, depth: usize) -> Result<(), String> {
-        self.expect(b'{')?;
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(());
-        }
-        loop {
-            self.skip_ws();
-            let key_start = self.pos;
-            self.string()?;
-            let key = &self.bytes[key_start + 1..self.pos - 1];
-            self.expect(b':')?;
-            if depth == 0 && key == b"traceEvents" {
-                let n = self.array(depth + 1)?;
-                self.trace_events = Some(n);
-            } else {
-                self.value(depth + 1)?;
-            }
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b'}') => return Ok(()),
-                _ => return Err(format!("unterminated object at byte {}", self.pos)),
-            }
-        }
-    }
-
-    /// Parses an array, returning its element count.
-    fn array(&mut self, depth: usize) -> Result<usize, String> {
-        self.expect(b'[')?;
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(0);
-        }
-        let mut n = 0;
-        loop {
-            self.value(depth + 1)?;
-            n += 1;
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b']') => return Ok(n),
-                _ => return Err(format!("unterminated array at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<(), String> {
-        if self.bump() != Some(b'"') {
-            return Err(format!("expected string at byte {}", self.pos));
-        }
-        while let Some(b) = self.bump() {
-            match b {
-                b'"' => return Ok(()),
-                b'\\' => {
-                    self.bump();
-                }
-                _ => {}
-            }
-        }
-        Err("unterminated string".into())
-    }
-
-    fn number(&mut self) -> Result<(), String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return Err(format!("bad number at byte {start}"));
-        }
-        Ok(())
-    }
-
-    fn literal(&mut self, lit: &str) -> Result<(), String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(())
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
 }
 
 #[cfg(test)]

@@ -1,16 +1,16 @@
 //! Randomized property tests for the contention substrate:
-//! [`Resource`], [`BankedResource`] and the fixed-capacity interval
-//! ring ([`fam_sim::timeline`]) that backs them.
+//! [`Resource`], [`BankedResource`] and the bounded busy-interval
+//! timeline (at most [`MAX_INTERVALS`] retained) that backs them.
 //!
 //! The timing model leans on three properties these tests pin with a
 //! deterministic LCG-driven stream (no external dependencies, same
 //! verdict on every host):
 //!
-//! 1. **Reference-model equivalence through ring wraparound** — a
+//! 1. **Reference-model equivalence through retention** — a
 //!    `Resource` behaves exactly like an obviously-correct flat-`Vec`
 //!    model with the same retention policy, across thousands of mixed
 //!    in-order/backfill requests, far past [`MAX_INTERVALS`] so the
-//!    ring wraps many times over.
+//!    oldest intervals are forgotten many times over.
 //! 2. **Interleave-key determinism** — bank selection is a pure
 //!    function of the key for power-of-two (mask) and non-power-of-two
 //!    (divide) bank counts alike: a banked device replays exactly as
@@ -20,13 +20,12 @@
 //!    bank-by-bank, in any bank order, yields the same service starts
 //!    and the same final timelines as the fully interleaved stream.
 
-use fam_sim::timeline::MAX_INTERVALS;
-use fam_sim::{BankedResource, Cycle, Duration, Resource, SimRng};
+use fam_sim::{BankedResource, Cycle, Duration, Resource, SimRng, MAX_INTERVALS};
 
 /// An obviously-correct flat-`Vec` twin of [`Resource`]: sorted,
 /// non-overlapping busy intervals, earliest-fitting-gap backfill,
 /// neighbour coalescing, and the same bounded-retention policy (drop
-/// the oldest when full; a new oldest-of-a-full-ring is forgotten).
+/// the oldest when full; a new oldest of a full timeline is forgotten).
 struct NaiveResource {
     intervals: Vec<(u64, u64)>,
 }
@@ -86,8 +85,8 @@ impl NaiveResource {
 }
 
 /// A deterministic stream of `(arrival, occupancy)` pairs: the base
-/// time drifts forward (so the ring eventually wraps) while individual
-/// arrivals jitter backwards past the frontier (so backfills, gap
+/// time drifts forward (so old intervals are eventually forgotten)
+/// while individual arrivals jitter backwards past the frontier (so backfills, gap
 /// fits, coalescing and the deep-search fallback all trigger).
 fn request_stream(seed: u64, len: usize) -> Vec<(u64, u64)> {
     let mut rng = SimRng::seeded(seed);
@@ -108,8 +107,9 @@ fn resource_matches_the_naive_model_through_ring_wraparound() {
     for seed in [1u64, 0xDEAC7, 0xB0B] {
         let mut real = Resource::new(10);
         let mut naive = NaiveResource::new();
-        // Far past MAX_INTERVALS requests, mostly disjoint: the ring
-        // wraps several times while the naive Vec prunes in lockstep.
+        // Far past MAX_INTERVALS requests, mostly disjoint: the real
+        // timeline forgets its oldest intervals many times over while
+        // the naive Vec prunes in lockstep.
         for (i, (at, occ)) in request_stream(seed, 8 * MAX_INTERVALS)
             .into_iter()
             .enumerate()

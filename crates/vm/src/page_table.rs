@@ -198,12 +198,11 @@ impl PageTable {
         let mut node = 0usize;
         for level in 0..LEVELS - 1 {
             let idx = Self::index_at(vpage, level);
+            // Interior levels hold only tables: every leaf is a 4 KB
+            // page at the last level.
             let next = match self.nodes[node].get(idx) {
                 Some(Slot::Table(n)) => *n,
-                Some(Slot::Leaf(_)) => {
-                    panic!("region is huge-mapped; splitting is not supported")
-                }
-                None => {
+                _ => {
                     let base_addr = alloc_page(level + 1);
                     let n = self.nodes.len();
                     self.nodes.push(Node::new(base_addr));
@@ -223,99 +222,6 @@ impl PageTable {
                 None
             }
         }
-    }
-
-    /// Maps a *huge* page: a leaf installed at an interior level —
-    /// `leaf_level` 2 is a 2 MB PMD mapping (covers 512 pages),
-    /// `leaf_level` 1 is a 1 GB PUD mapping (covers 512² pages). The
-    /// paper discusses (and rejects for non-shared data) large pages in
-    /// §VI; this entry point supports that exploration.
-    ///
-    /// Returns the previous mapping at that slot, if any.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `leaf_level` is 0 or ≥ [`LEVELS`], if `vpage` is not
-    /// aligned to the huge-page size, or if a smaller mapping already
-    /// occupies the region (no splitting support — real kernels split
-    /// lazily, the simulator forbids it).
-    pub fn map_huge(
-        &mut self,
-        vpage: u64,
-        target_page: u64,
-        flags: PtFlags,
-        leaf_level: usize,
-        alloc_page: &mut dyn FnMut(usize) -> u64,
-    ) -> Option<Pte> {
-        assert!(
-            (1..LEVELS).contains(&leaf_level),
-            "huge leaves live at levels 1 (1 GB) or 2 (2 MB); level 3 is map()"
-        );
-        let span = 1u64 << (INDEX_BITS as usize * (LEVELS - 1 - leaf_level));
-        assert_eq!(vpage % span, 0, "huge mapping must be size-aligned");
-        let mut node = 0usize;
-        for level in 0..leaf_level {
-            let idx = Self::index_at(vpage, level);
-            let next = match self.nodes[node].get(idx) {
-                Some(Slot::Table(n)) => *n,
-                Some(Slot::Leaf(_)) => panic!("region already huge-mapped at a higher level"),
-                None => {
-                    let base_addr = alloc_page(level + 1);
-                    let n = self.nodes.len();
-                    self.nodes.push(Node::new(base_addr));
-                    self.nodes[node].set(idx, Slot::Table(n));
-                    n
-                }
-            };
-            node = next;
-        }
-        let idx = Self::index_at(vpage, leaf_level);
-        match self.nodes[node].set(idx, Slot::Leaf(Pte { target_page, flags })) {
-            Some(Slot::Leaf(pte)) => Some(pte),
-            Some(Slot::Table(_)) => {
-                panic!("region already holds smaller mappings; splitting is not supported")
-            }
-            None => {
-                self.mapped += 1;
-                None
-            }
-        }
-    }
-
-    /// Removes a huge mapping installed by [`PageTable::map_huge`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `leaf_level` is out of range (see `map_huge`).
-    pub fn unmap_huge(&mut self, vpage: u64, leaf_level: usize) -> Option<Pte> {
-        assert!((1..LEVELS).contains(&leaf_level));
-        let mut node = 0usize;
-        for level in 0..leaf_level {
-            let idx = Self::index_at(vpage, level);
-            match self.nodes[node].get(idx) {
-                Some(Slot::Table(n)) => node = *n,
-                _ => return None,
-            }
-        }
-        let idx = Self::index_at(vpage, leaf_level);
-        match self.nodes[node].take(idx) {
-            Some(Slot::Leaf(pte)) => {
-                self.mapped -= 1;
-                Some(pte)
-            }
-            Some(slot) => {
-                self.nodes[node].set(idx, slot);
-                None
-            }
-            None => None,
-        }
-    }
-
-    /// Translates `vpage`, also reporting the level the leaf was found
-    /// at (3 for a 4 KB page, 2 for 2 MB, 1 for 1 GB).
-    pub fn translate_with_level(&self, vpage: u64) -> Option<(Pte, usize)> {
-        let walk = self.walk(vpage);
-        walk.mapping.map(|pte| (pte, walk.steps.len() - 1))
     }
 
     /// Walks the table for `vpage`, recording the entry address read at
@@ -610,68 +516,5 @@ mod tests {
         assert_eq!(PageTable::index_at(vpage, 1), 2);
         assert_eq!(PageTable::index_at(vpage, 2), 3);
         assert_eq!(PageTable::index_at(vpage, 3), 4);
-    }
-
-    #[test]
-    fn huge_2mb_mapping_covers_512_pages() {
-        let mut pt = PageTable::new(0);
-        let mut alloc = bump_alloc(0x10000);
-        // 2 MB leaf at level 2: vpage must be 512-aligned.
-        pt.map_huge(512, 0x9000, PtFlags::rw(), 2, &mut alloc);
-        let (pte, level) = pt.translate_with_level(512 + 300).unwrap();
-        assert_eq!(pte.target_page, 0x9000);
-        assert_eq!(level, 2);
-        // The walk is one step shorter than a 4 KB walk.
-        assert_eq!(pt.walk(512 + 300).steps.len(), 3);
-        // Outside the region: unmapped.
-        assert_eq!(pt.translate(1024), None);
-    }
-
-    #[test]
-    fn huge_1gb_mapping_at_pud_level() {
-        let mut pt = PageTable::new(0);
-        let mut alloc = bump_alloc(0x10000);
-        let gb_pages = 512 * 512;
-        pt.map_huge(gb_pages, 0x4_0000, PtFlags::ro(), 1, &mut alloc);
-        let (_, level) = pt.translate_with_level(gb_pages + 98_765).unwrap();
-        assert_eq!(level, 1);
-        assert_eq!(pt.walk(gb_pages).steps.len(), 2);
-    }
-
-    #[test]
-    fn unmap_huge_roundtrip() {
-        let mut pt = PageTable::new(0);
-        let mut alloc = bump_alloc(0x10000);
-        pt.map_huge(512, 7, PtFlags::rw(), 2, &mut alloc);
-        assert_eq!(pt.mapped_pages(), 1);
-        assert_eq!(pt.unmap_huge(512, 2).unwrap().target_page, 7);
-        assert_eq!(pt.translate(512 + 5), None);
-        assert_eq!(pt.unmap_huge(512, 2), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "size-aligned")]
-    fn unaligned_huge_mapping_rejected() {
-        let mut pt = PageTable::new(0);
-        let mut alloc = bump_alloc(0x10000);
-        pt.map_huge(513, 7, PtFlags::rw(), 2, &mut alloc);
-    }
-
-    #[test]
-    #[should_panic(expected = "splitting is not supported")]
-    fn small_mapping_under_huge_rejected() {
-        let mut pt = PageTable::new(0);
-        let mut alloc = bump_alloc(0x10000);
-        pt.map_huge(512, 7, PtFlags::rw(), 2, &mut alloc);
-        pt.map(512 + 3, 9, PtFlags::rw(), &mut alloc);
-    }
-
-    #[test]
-    #[should_panic(expected = "smaller mappings")]
-    fn huge_over_small_rejected() {
-        let mut pt = PageTable::new(0);
-        let mut alloc = bump_alloc(0x10000);
-        pt.map(512 + 3, 9, PtFlags::rw(), &mut alloc);
-        pt.map_huge(512, 7, PtFlags::rw(), 2, &mut alloc);
     }
 }
