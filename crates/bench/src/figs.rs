@@ -1,9 +1,13 @@
 //! One function per table/figure; the `fig*` binaries are thin
 //! wrappers so `--bin all` can regenerate everything in one process.
 
+use deact::node::{CORE_OUTSTANDING, DRAM_ACCESS_NS, DRAM_BYTES, FREQUENCY_MHZ, ISSUE_WIDTH};
 use deact::{Scheme, SystemConfig};
 use fam_broker::AcmWidth;
+use fam_mem::{HierarchyConfig, NvmConfig};
 use fam_sim::stats::geomean;
+use fam_sim::Frequency;
+use fam_vm::TlbConfig;
 use fam_workloads::table3;
 
 use crate::{
@@ -43,45 +47,42 @@ pub fn table1() {
 pub fn table2() {
     heading("Table II", "system configuration");
     let c = SystemConfig::paper_default();
+    let (tlb, hierarchy, nvm) = (
+        TlbConfig::default(),
+        HierarchyConfig::default(),
+        NvmConfig::default(),
+    );
     let items: Vec<(&str, String)> = vec![
         (
             "CPU",
             format!(
-                "{} OoO cores, {}, {} issues/cycle, {} outstanding",
+                "{} OoO cores, {}, {ISSUE_WIDTH} issues/cycle, {CORE_OUTSTANDING} outstanding",
                 c.cores_per_node,
-                c.frequency(),
-                c.issue_width,
-                c.core_outstanding
+                Frequency::mhz(FREQUENCY_MHZ),
             ),
         ),
         (
             "TLB",
             format!(
                 "2 levels, L1 {} entries, L2 {} entries",
-                c.tlb.l1_entries, c.tlb.l2_entries
+                tlb.l1_entries, tlb.l2_entries
             ),
         ),
         (
             "L1",
-            format!(
-                "private, 64B blocks, {} KB, LRU",
-                c.hierarchy.l1_bytes / 1024
-            ),
+            format!("private, 64B blocks, {} KB, LRU", hierarchy.l1_bytes / 1024),
         ),
         (
             "L2",
-            format!(
-                "private, 64B blocks, {} KB, LRU",
-                c.hierarchy.l2_bytes / 1024
-            ),
+            format!("private, 64B blocks, {} KB, LRU", hierarchy.l2_bytes / 1024),
         ),
         (
             "L3",
-            format!("shared, 64B blocks, {} MB, LRU", c.hierarchy.l3_bytes >> 20),
+            format!("shared, 64B blocks, {} MB, LRU", hierarchy.l3_bytes >> 20),
         ),
         (
             "Local mem",
-            format!("DRAM, {} GB, {} ns", c.dram_bytes >> 30, c.dram_access_ns),
+            format!("DRAM, {} GB, {DRAM_ACCESS_NS} ns", DRAM_BYTES >> 30),
         ),
         (
             "STU cache",
@@ -96,10 +97,10 @@ pub fn table2() {
             format!(
                 "{} GB, read {} ns, write {} ns, {} banks, {} outstanding",
                 c.fam_bytes >> 30,
-                c.nvm.read_ns,
-                c.nvm.write_ns,
-                c.nvm.banks,
-                c.nvm.max_outstanding
+                nvm.read_ns,
+                nvm.write_ns,
+                nvm.banks,
+                nvm.max_outstanding
             ),
         ),
         (

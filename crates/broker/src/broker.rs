@@ -241,12 +241,6 @@ impl MemoryBroker {
         Ok(NodeId::new(id as u16))
     }
 
-    fn node_mut(&mut self, node: NodeId) -> Result<&mut NodeState, BrokerError> {
-        self.nodes
-            .get_mut(node.index())
-            .ok_or(BrokerError::UnknownNode(node))
-    }
-
     fn node_ref(&self, node: NodeId) -> Result<&NodeState, BrokerError> {
         self.nodes
             .get(node.index())
@@ -679,22 +673,6 @@ impl MemoryBroker {
         Ok((report, relocations))
     }
 
-    /// Frees a previously demand-mapped page: clears ACM and removes
-    /// the mapping. No-op if the page is not mapped by `node`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BrokerError::UnknownNode`] for unregistered ids.
-    pub fn free_page(&mut self, node: NodeId, npa_page: u64) -> Result<(), BrokerError> {
-        let state = self.node_mut(node)?;
-        if let Some(pte) = state.table.unmap(npa_page) {
-            state.owned_pages.retain(|&(n, _)| n != npa_page);
-            self.acm.clear(pte.target_page);
-            self.free_pages.push(pte.target_page);
-        }
-        Ok(())
-    }
-
     /// Number of registered nodes.
     pub fn node_count(&self) -> usize {
         self.nodes.len()
@@ -823,17 +801,6 @@ mod tests {
         b.register_node().unwrap();
         let err = b.share_segment(1 << 30, &[]).unwrap_err();
         assert!(matches!(err, BrokerError::SegmentTooLarge { .. }));
-    }
-
-    #[test]
-    fn free_page_returns_memory_and_clears_acm() {
-        let mut b = small_broker();
-        let n = b.register_node().unwrap();
-        let page = b.demand_map(n, 0).unwrap();
-        b.free_page(n, 0).unwrap();
-        assert!(!b.check_access(n, page, AccessKind::Read));
-        assert_eq!(b.owned_pages(n), 0);
-        assert_eq!(b.translate(n, 0), None);
     }
 
     #[test]

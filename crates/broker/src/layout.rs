@@ -52,11 +52,6 @@ impl Quarantine {
             }
         }
     }
-
-    /// Whether any page at all is quarantined.
-    pub fn is_active(&self) -> bool {
-        *self != Quarantine::None
-    }
 }
 
 /// The carve-up of a FAM module's physical space (Fig. 5): a usable
@@ -174,13 +169,6 @@ impl FamLayout {
         self.acm_base + addr.page() * self.acm_width.bytes()
     }
 
-    /// Number of pages whose ACM shares one 64-byte block with the
-    /// given page — the spatial-locality constant the paper leans on
-    /// (32 pages for 16-bit ACM, so one block covers a 128 KB region).
-    pub fn acm_pages_per_block(&self) -> u64 {
-        64 / self.acm_width.bytes()
-    }
-
     /// The 1 GB region index of a usable address.
     pub fn region_of(&self, addr: FamAddr) -> u64 {
         addr.0 / REGION_BYTES
@@ -196,11 +184,6 @@ impl FamLayout {
         self.bitmap_base + self.region_of(addr) * BITMAP_BYTES
     }
 
-    /// Metadata overhead as a fraction of total capacity.
-    pub fn metadata_overhead(&self) -> f64 {
-        (self.total_bytes - self.usable_bytes) as f64 / self.total_bytes as f64
-    }
-
     /// The quarantine in force.
     pub fn quarantine(&self) -> Quarantine {
         self.quarantine
@@ -210,11 +193,6 @@ impl FamLayout {
     /// installing `Quarantine::None` lifts it (tests only).
     pub fn set_quarantine(&mut self, quarantine: Quarantine) {
         self.quarantine = quarantine;
-    }
-
-    /// Whether the page containing `addr` is permanently off-limits.
-    pub fn is_quarantined(&self, addr: FamAddr) -> bool {
-        self.quarantine.contains(addr.page())
     }
 
     /// Number of *usable* pages the quarantine removes from service.
@@ -269,7 +247,6 @@ mod tests {
     #[test]
     fn one_block_covers_32_pages_at_16_bit() {
         let l = layout16();
-        assert_eq!(l.acm_pages_per_block(), 32);
         let a = l.acm_addr(FamAddr(0)) / 64;
         let b = l.acm_addr(FamAddr(31 * PAGE_BYTES)) / 64;
         let c = l.acm_addr(FamAddr(32 * PAGE_BYTES)) / 64;
@@ -281,8 +258,6 @@ mod tests {
     fn width_changes_density() {
         let l8 = FamLayout::new(16 << 30, AcmWidth::W8);
         let l32 = FamLayout::new(16 << 30, AcmWidth::W32);
-        assert_eq!(l8.acm_pages_per_block(), 64);
-        assert_eq!(l32.acm_pages_per_block(), 16);
         assert!(l8.usable_bytes() > l32.usable_bytes());
     }
 
@@ -301,12 +276,9 @@ mod tests {
     #[test]
     fn overhead_is_negligible() {
         let l = layout16();
-        assert!(
-            l.metadata_overhead() < 0.002,
-            "got {}",
-            l.metadata_overhead()
-        );
-        assert!(l.metadata_overhead() > 0.0);
+        let overhead = (l.total_bytes() - l.usable_bytes()) as f64 / l.total_bytes() as f64;
+        assert!(overhead < 0.002, "got {overhead}");
+        assert!(overhead > 0.0);
     }
 
     #[test]
@@ -346,23 +318,18 @@ mod tests {
         assert!(range.contains(14));
         assert!(!range.contains(15));
         assert!(!Quarantine::None.contains(0));
-        assert!(!Quarantine::None.is_active());
-        assert!(module.is_active() && range.is_active());
     }
 
     #[test]
     fn layout_quarantine_counts_usable_pages_only() {
         let mut l = layout16();
         assert_eq!(l.quarantined_pages(), 0);
-        assert!(!l.is_quarantined(FamAddr(0)));
         l.set_quarantine(Quarantine::Module {
             index: 1,
             stride: 4,
         });
         let usable = l.usable_pages();
         assert_eq!(l.quarantined_pages(), (usable - 1).div_ceil(4));
-        assert!(l.is_quarantined(FamAddr(PAGE_BYTES)));
-        assert!(!l.is_quarantined(FamAddr(0)));
         // A range clipped by the end of the usable region.
         l.set_quarantine(Quarantine::Range {
             first_page: usable - 3,

@@ -56,6 +56,7 @@
 
 use std::process::ExitCode;
 
+use deact::node::FREQUENCY_MHZ;
 use deact::{try_run_benchmark, RunReport, Scheme, System, SystemConfig};
 use fam_sim::{trace::write_chrome_trace, FaultConfig, PersistentFault, TraceConfig};
 use fam_workloads::{table3, Workload};
@@ -438,7 +439,6 @@ fn main() -> ExitCode {
                 eprintln!("deact-sim: unknown benchmark `{bench}` (see `deact-sim list`)");
                 return ExitCode::FAILURE;
             };
-            let frequency_mhz = cfg.frequency_mhz;
             let mut system = System::new(cfg, &workload);
             let r = match system.try_run() {
                 Ok(r) => r,
@@ -455,7 +455,7 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
-            if let Err(e) = write_chrome_trace(std::io::BufWriter::new(file), tracer, frequency_mhz)
+            if let Err(e) = write_chrome_trace(std::io::BufWriter::new(file), tracer, FREQUENCY_MHZ)
             {
                 eprintln!("deact-sim: cannot write {out}: {e}");
                 return ExitCode::FAILURE;
@@ -649,7 +649,6 @@ fn main() -> ExitCode {
                 .file_stem()
                 .map(|s| s.to_string_lossy().into_owned())
                 .unwrap_or_else(|| path.clone());
-            let frequency_mhz = cfg.frequency_mhz;
             let mut system = System::with_streams(cfg, &label, streams);
             let r = match system.try_run() {
                 Ok(r) => r,
@@ -682,7 +681,7 @@ fn main() -> ExitCode {
                 if let Err(e) = write_chrome_trace(
                     std::io::BufWriter::new(file),
                     system.tracer(),
-                    frequency_mhz,
+                    FREQUENCY_MHZ,
                 ) {
                     eprintln!("deact-sim: cannot write {out}: {e}");
                     return ExitCode::FAILURE;

@@ -1,17 +1,20 @@
-//! Full-system configuration (Table II).
+//! Full-system configuration: the Table II values the evaluation
+//! varies, run control, and the fault and trace profiles.
 
 use fam_broker::AcmWidth;
 use fam_fabric::FabricConfig;
-use fam_mem::{HierarchyConfig, NvmConfig};
-use fam_sim::{FaultConfig, Frequency, TraceConfig};
+use fam_sim::{FaultConfig, TraceConfig};
 use fam_stu::StuConfig;
-use fam_vm::TlbConfig;
 
-use crate::translator::RetryConfig;
 use crate::Scheme;
 
 /// Configuration of one simulated FAM system, defaulting to the
 /// paper's Table II parameters.
+///
+/// Only values some caller varies are fields. The rest of Table II
+/// (core clock, issue width, TLBs, caches, DRAM, NVM timing, the retry
+/// policy) is fixed: constants in [`crate::node`] and `system.rs`, and
+/// the `Default` of each component's config type.
 ///
 /// # Examples
 ///
@@ -33,27 +36,6 @@ pub struct SystemConfig {
     pub nodes: usize,
     /// Cores per node (Table II: 4).
     pub cores_per_node: usize,
-    /// Core frequency (Table II: 2 GHz).
-    pub frequency_mhz: u64,
-    /// Issue/retire width (Table II: 2 instructions per cycle).
-    pub issue_width: u32,
-    /// Maximum outstanding memory requests per core (Table II: 32).
-    pub core_outstanding: usize,
-    /// TLB hierarchy (Table II: 32 + 256 entries).
-    pub tlb: TlbConfig,
-    /// Node PTW-cache entries (§IV: 32, per Bhargava et al.).
-    pub ptw_cache_entries: usize,
-    /// Data-cache hierarchy (Table II: 32 KB / 256 KB / 1 MB).
-    pub hierarchy: HierarchyConfig,
-    /// Local DRAM access latency in nanoseconds.
-    pub dram_access_ns: u64,
-    /// Local DRAM channel occupancy in cycles per block.
-    pub dram_occupancy_cycles: u64,
-    /// Local DRAM capacity in bytes (Table II: 1 GB).
-    pub dram_bytes: u64,
-    /// The FAM NVM device (Table II: 16 GB, 60/150 ns, 32 banks, 128
-    /// outstanding).
-    pub nvm: NvmConfig,
     /// FAM capacity in bytes (Table II: 16 GB).
     pub fam_bytes: u64,
     /// Independent FAM modules behind the fabric. Fig. 16's setup
@@ -67,11 +49,6 @@ pub struct SystemConfig {
     pub stu_entries: usize,
     /// STU cache associativity (Table II: 8).
     pub stu_ways: usize,
-    /// STU FAM-PTW cache entries. The paper grants 32 entries at full
-    /// memory scale (§IV), where they covered roughly a tenth of a
-    /// scatter benchmark's footprint; at this repo's scaled-down
-    /// footprints (DESIGN.md §1) the equivalent reach is 4 entries.
-    pub stu_ptw_entries: usize,
     /// ACM entry width (Fig. 14 sweeps 8/16/32-bit; default 16).
     pub acm_width: AcmWidth,
     /// DeACT-N tag/ACM pairs per way override (§V-D2; `None` =
@@ -84,17 +61,6 @@ pub struct SystemConfig {
     /// access to update the mapping status, which the timing model
     /// charges; the paper rejects it for exactly that reason.
     pub translation_cache_lru: bool,
-    /// One-way node↔STU router hop in nanoseconds (the STU sits in
-    /// the first router, §III-A).
-    pub router_ns: u64,
-    /// STU cache lookup latency in cycles.
-    pub stu_lookup_cycles: u64,
-    /// Kernel page-fault service time in nanoseconds (charged once per
-    /// first touch; identical across schemes).
-    pub fault_ns: u64,
-    /// Fraction of application pages placed in local DRAM (§IV
-    /// footnote: 20% local / 80% FAM).
-    pub local_fraction: f64,
     /// Pages in a cross-node shared segment (§VI "Shared Pages"),
     /// mapped RW into every node at [`fam_workloads::SHARED_VA_BASE`]
     /// during construction. 0 (the default) disables sharing; pair a
@@ -112,17 +78,8 @@ pub struct SystemConfig {
     /// Fabric fault injection (drops, corruption, link-down windows,
     /// STU stalls, stale translations). Disabled by default — a
     /// disabled injector is a zero-cost no-op, so default runs are
-    /// bit-identical to a build without the fault layer. Named
-    /// `fault_injection` to stay clearly apart from `fault_ns`, the
-    /// page-fault service latency.
+    /// bit-identical to a build without the fault layer.
     pub fault_injection: FaultConfig,
-    /// Retry/timeout/backoff policy the nodes use to recover from
-    /// injected faults.
-    pub retry: RetryConfig,
-    /// Management-path copy bandwidth, in bytes per core cycle, charged
-    /// on the simulated clock while the broker evacuates still-reachable
-    /// pages off quarantined FAM (a persistent [`fam_sim::PersistentFault`]).
-    pub evacuation_bytes_per_cycle: u64,
     /// When `true`, the first access that reads data a permanent
     /// failure destroyed surfaces as [`crate::SimError::DataLoss`]
     /// instead of a counted poisoned access; the run stops rather than
@@ -143,37 +100,20 @@ impl SystemConfig {
             scheme: Scheme::DeactN,
             nodes: 1,
             cores_per_node: 4,
-            frequency_mhz: 2000,
-            issue_width: 2,
-            core_outstanding: 32,
-            tlb: TlbConfig::default(),
-            ptw_cache_entries: 32,
-            hierarchy: HierarchyConfig::default(),
-            dram_access_ns: 60,
-            dram_occupancy_cycles: 2,
-            dram_bytes: 1 << 30,
-            nvm: NvmConfig::default(),
             fam_bytes: 16 << 30,
             fam_modules: 1,
             fabric: FabricConfig::default(),
             stu_entries: 1024,
             stu_ways: 8,
-            stu_ptw_entries: 4,
             acm_width: AcmWidth::W16,
             deact_n_pairs: None,
             translation_cache_bytes: 1 << 20,
             translation_cache_lru: false,
-            router_ns: 10,
-            stu_lookup_cycles: 4,
-            fault_ns: 1500,
-            local_fraction: 0.20,
             shared_segment_pages: 0,
             skip_read_checks: false,
             refs_per_core: 100_000,
             seed: 0xDEAC7,
             fault_injection: FaultConfig::disabled(),
-            retry: RetryConfig::default(),
-            evacuation_bytes_per_cycle: 64,
             halt_on_data_loss: false,
             trace: TraceConfig::disabled(),
         }
@@ -300,14 +240,6 @@ impl SystemConfig {
         self
     }
 
-    /// Sets the evacuation bandwidth in bytes per core cycle (see
-    /// [`SystemConfig::evacuation_bytes_per_cycle`]).
-    #[must_use]
-    pub fn with_evacuation_bandwidth(mut self, bytes_per_cycle: u64) -> SystemConfig {
-        self.evacuation_bytes_per_cycle = bytes_per_cycle;
-        self
-    }
-
     /// Makes data loss fatal (see
     /// [`SystemConfig::halt_on_data_loss`]).
     #[must_use]
@@ -321,11 +253,6 @@ impl SystemConfig {
     pub fn with_trace(mut self, trace: TraceConfig) -> SystemConfig {
         self.trace = trace;
         self
-    }
-
-    /// The core clock.
-    pub fn frequency(&self) -> Frequency {
-        Frequency::mhz(self.frequency_mhz)
     }
 
     /// The STU cache configuration implied by scheme, geometry and ACM
@@ -354,31 +281,16 @@ impl SystemConfig {
         }
     }
 
-    /// Number of entries in the in-DRAM translation cache: each 64-
-    /// byte set holds four 104-bit entries (§III-C).
-    pub fn translation_cache_entries(&self) -> u64 {
-        self.translation_cache_bytes / 64 * 4
-    }
-
     /// Validates cross-field invariants.
     ///
     /// # Panics
     ///
-    /// Panics on degenerate configurations (zero nodes/cores/refs, a
-    /// local fraction outside `[0, 1]`).
+    /// Panics on degenerate configurations (zero nodes/cores/refs, an
+    /// invalid fault profile).
     pub fn validate(&self) {
         assert!(self.nodes > 0, "need at least one node");
         assert!(self.cores_per_node > 0, "need at least one core");
         assert!(self.refs_per_core > 0, "need at least one reference");
-        assert!(
-            (0.0..=1.0).contains(&self.local_fraction),
-            "local fraction must be a probability"
-        );
-        assert!(self.issue_width > 0, "issue width must be non-zero");
-        assert!(
-            self.evacuation_bytes_per_cycle > 0,
-            "evacuation bandwidth must be non-zero"
-        );
         if let Some(schedule) = self.fault_injection.persistent {
             if let Some(module) = schedule.fault.module() {
                 assert!(
@@ -389,7 +301,6 @@ impl SystemConfig {
             }
         }
         self.fault_injection.validate();
-        self.retry.validate();
     }
 }
 
@@ -405,22 +316,34 @@ mod tests {
 
     #[test]
     fn paper_default_matches_table2() {
+        use crate::node::{
+            CORE_OUTSTANDING, DRAM_ACCESS_NS, DRAM_BYTES, FREQUENCY_MHZ, ISSUE_WIDTH,
+        };
+        use fam_mem::{HierarchyConfig, NvmConfig};
+        use fam_vm::TlbConfig;
+
         let c = SystemConfig::paper_default();
+        let (tlb, hierarchy, nvm) = (
+            TlbConfig::default(),
+            HierarchyConfig::default(),
+            NvmConfig::default(),
+        );
         assert_eq!(c.cores_per_node, 4);
-        assert_eq!(c.frequency_mhz, 2000);
-        assert_eq!(c.issue_width, 2);
-        assert_eq!(c.core_outstanding, 32);
-        assert_eq!(c.tlb.l1_entries, 32);
-        assert_eq!(c.tlb.l2_entries, 256);
-        assert_eq!(c.hierarchy.l1_bytes, 32 * 1024);
-        assert_eq!(c.hierarchy.l2_bytes, 256 * 1024);
-        assert_eq!(c.hierarchy.l3_bytes, 1024 * 1024);
-        assert_eq!(c.dram_bytes, 1 << 30);
+        assert_eq!(FREQUENCY_MHZ, 2000);
+        assert_eq!(ISSUE_WIDTH, 2);
+        assert_eq!(CORE_OUTSTANDING, 32);
+        assert_eq!(tlb.l1_entries, 32);
+        assert_eq!(tlb.l2_entries, 256);
+        assert_eq!(hierarchy.l1_bytes, 32 * 1024);
+        assert_eq!(hierarchy.l2_bytes, 256 * 1024);
+        assert_eq!(hierarchy.l3_bytes, 1024 * 1024);
+        assert_eq!(DRAM_BYTES, 1 << 30);
+        assert_eq!(DRAM_ACCESS_NS, 60);
         assert_eq!(c.fam_bytes, 16 << 30);
-        assert_eq!(c.nvm.read_ns, 60);
-        assert_eq!(c.nvm.write_ns, 150);
-        assert_eq!(c.nvm.banks, 32);
-        assert_eq!(c.nvm.max_outstanding, 128);
+        assert_eq!(nvm.read_ns, 60);
+        assert_eq!(nvm.write_ns, 150);
+        assert_eq!(nvm.banks, 32);
+        assert_eq!(nvm.max_outstanding, 128);
         assert_eq!(c.fabric.latency_ns, 500);
         assert_eq!(c.stu_entries, 1024);
         assert_eq!(c.stu_ways, 8);
@@ -440,15 +363,6 @@ mod tests {
         assert_eq!(c.nodes, 8);
         assert_eq!(c.stu_config().sets, 32);
         assert_eq!(c.fabric.latency_ns, 6000);
-    }
-
-    #[test]
-    fn translation_cache_entry_math() {
-        // 1 MB / 64 B per set * 4 entries per set = 65536 entries.
-        assert_eq!(
-            SystemConfig::paper_default().translation_cache_entries(),
-            65536
-        );
     }
 
     #[test]
@@ -476,7 +390,6 @@ mod tests {
     fn fault_injection_defaults_off() {
         let c = SystemConfig::paper_default();
         assert!(!c.fault_injection.enabled);
-        assert_eq!(c.retry, RetryConfig::default());
         assert!(!c.trace.enabled, "tracing defaults off like faults");
         assert!(c.with_trace(TraceConfig::full()).trace.enabled);
         let faulty = c.with_fault_injection(FaultConfig::transient(9));
@@ -494,16 +407,6 @@ mod tests {
                 ..FaultConfig::disabled()
             })
             .validate();
-    }
-
-    #[test]
-    fn evacuation_and_data_loss_knobs_compose() {
-        let c = SystemConfig::paper_default()
-            .with_evacuation_bandwidth(128)
-            .with_halt_on_data_loss(true);
-        assert_eq!(c.evacuation_bytes_per_cycle, 128);
-        assert!(c.halt_on_data_loss);
-        c.validate();
     }
 
     #[test]

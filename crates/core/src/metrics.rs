@@ -153,8 +153,8 @@ pub struct DegradationReport {
     pub shootdown_invalidations: u64,
     /// Cycles the shootdown broadcast cost on the simulated clock.
     pub shootdown_cycles: u64,
-    /// Cycles spent copying evacuated pages at the configured
-    /// evacuation bandwidth.
+    /// Cycles spent copying evacuated pages at the management path's
+    /// fixed evacuation bandwidth (64 bytes per cycle).
     pub evacuation_cycles: u64,
     /// Cycle at which the escalation began (the first access that
     /// exhausted its retry budget against the persistent fault).

@@ -2,9 +2,9 @@
 //! node-level OS memory policy.
 
 use fam_broker::{BrokerError, MemoryBroker};
-use fam_mem::{CacheHierarchy, DramModel};
-use fam_sim::{Cycle, RequestId, SimRng, Window};
-use fam_vm::{NodeId, PageTable, PtFlags, PtwCache, TlbHierarchy, VirtAddr};
+use fam_mem::{CacheHierarchy, DramModel, HierarchyConfig, NvmConfig};
+use fam_sim::{Cycle, Frequency, RequestId, SimRng, Window};
+use fam_vm::{NodeId, PageTable, PtFlags, PtwCache, TlbConfig, TlbHierarchy, VirtAddr};
 use fam_workloads::{RefBatch, RefStream};
 
 use crate::translator::FamTranslator;
@@ -27,6 +27,25 @@ pub const FAM_KEY_PAGE: u64 = 1 << 28;
 pub const DATA_REGION_PAGES: u64 = (512 << 20) / 4096;
 /// DRAM byte address of the FAM translation cache (§IV: 1 MB).
 pub const TRANSLATION_CACHE_BASE: u64 = 768 << 20;
+/// Local DRAM capacity in bytes (Table II: 1 GB); the layout above is
+/// carved out of it.
+pub const DRAM_BYTES: u64 = 1 << 30;
+/// Local DRAM access latency in nanoseconds.
+pub const DRAM_ACCESS_NS: u64 = 60;
+/// Local DRAM channel occupancy in cycles per block.
+pub(crate) const DRAM_OCCUPANCY_CYCLES: u64 = 2;
+
+/// Core frequency in MHz (Table II: 2 GHz).
+pub const FREQUENCY_MHZ: u64 = 2000;
+/// Issue/retire width (Table II: 2 instructions per cycle).
+pub const ISSUE_WIDTH: u64 = 2;
+/// Maximum outstanding memory requests per core (Table II: 32).
+pub const CORE_OUTSTANDING: usize = 32;
+/// Node PTW-cache entries (§IV: 32, per Bhargava et al.).
+pub(crate) const PTW_CACHE_ENTRIES: usize = 32;
+/// Fraction of application pages placed in local DRAM (§IV footnote:
+/// 20% local / 80% FAM).
+pub(crate) const LOCAL_FRACTION: f64 = 0.20;
 
 /// A reference drawn ahead of execution so the driver can order cores
 /// by true start time (processing resources out of time order would
@@ -110,7 +129,6 @@ pub struct Node {
     pub faults: u64,
 
     scheme: Scheme,
-    local_fraction: f64,
     next_local_data_page: u64,
     next_kernel_dram_page: u64,
     next_fam_npa_page: u64,
@@ -141,8 +159,8 @@ impl Node {
         let id = broker
             .register_node()
             .expect("broker accepts configured node count");
-        let freq = config.frequency();
-        let dram_pages = config.dram_bytes / 4096;
+        let freq = Frequency::mhz(FREQUENCY_MHZ);
+        let dram_pages = DRAM_BYTES / 4096;
         let root_page = dram_pages - 1;
         let cores = streams
             .into_iter()
@@ -150,9 +168,9 @@ impl Node {
                 pending: None,
                 gen,
                 batch: RefBatch::new(),
-                tlb: TlbHierarchy::new(config.tlb),
-                ptw: PtwCache::new(config.ptw_cache_entries),
-                window: Window::new(config.core_outstanding),
+                tlb: TlbHierarchy::new(TlbConfig::default()),
+                ptw: PtwCache::new(PTW_CACHE_ENTRIES),
+                window: Window::new(CORE_OUTSTANDING),
                 next_issue: Cycle::ZERO,
                 issue_clock: Cycle::ZERO,
                 last_mem_completion: Cycle::ZERO,
@@ -171,7 +189,7 @@ impl Node {
             Some(FamTranslator::with_replacement(
                 config.translation_cache_bytes,
                 TRANSLATION_CACHE_BASE,
-                config.nvm.max_outstanding,
+                NvmConfig::default().max_outstanding,
                 config.seed ^ node_index as u64,
                 replacement,
             ))
@@ -182,12 +200,11 @@ impl Node {
             id,
             cores,
             page_table: PageTable::new(root_page * 4096),
-            hierarchy: CacheHierarchy::new(config.cores_per_node, config.hierarchy),
-            dram: DramModel::new(freq, config.dram_access_ns, config.dram_occupancy_cycles),
+            hierarchy: CacheHierarchy::new(config.cores_per_node, HierarchyConfig::default()),
+            dram: DramModel::new(freq, DRAM_ACCESS_NS, DRAM_OCCUPANCY_CYCLES),
             translator,
             faults: 0,
             scheme: config.scheme,
-            local_fraction: config.local_fraction,
             next_local_data_page: 1,
             next_kernel_dram_page: root_page - 1,
             // The first `shared_segment_pages` of the FAM zone are the
@@ -207,11 +224,6 @@ impl Node {
             Scheme::EFam => phys_page >= FAM_KEY_PAGE,
             _ => phys_page >= FAM_ZONE_PAGE,
         }
-    }
-
-    /// Converts an E-FAM physical key page back to the FAM page.
-    pub fn efam_fam_page(phys_page: u64) -> u64 {
-        phys_page - FAM_KEY_PAGE
     }
 
     /// Handles a node-level page fault for `vaddr`: the OS picks a
@@ -235,7 +247,7 @@ impl Node {
         let _prof = fam_sim::profile::span(fam_sim::profile::PhaseId::PageWalk);
         let vpage = vaddr.vpage();
         self.faults += 1;
-        let go_local = self.placement_rng.chance(self.local_fraction)
+        let go_local = self.placement_rng.chance(LOCAL_FRACTION)
             && self.next_local_data_page < DATA_REGION_PAGES;
         let target_page = if go_local {
             let p = self.next_local_data_page;
@@ -448,7 +460,7 @@ mod tests {
             if t >= FAM_KEY_PAGE {
                 mapped_fam += 1;
                 // The key maps back to a broker-allocated page.
-                assert!(Node::efam_fam_page(t) < broker.layout().usable_pages());
+                assert!(t - FAM_KEY_PAGE < broker.layout().usable_pages());
             }
         }
         assert!(mapped_fam > 100);

@@ -6,23 +6,41 @@ use std::collections::{BTreeMap, BinaryHeap};
 use fam_broker::{AccessKind, BrokerConfig, MemoryBroker, PageRelocation, Quarantine};
 use fam_fabric::packet::{Packet, PacketKind, RESPONSE_BYTES};
 use fam_fabric::Fabric;
-use fam_mem::{MemOpKind, NvmModel};
+use fam_mem::{MemOpKind, NvmConfig, NvmModel};
 use fam_sim::profile::{self, PhaseId};
 use fam_sim::{
-    Cycle, Duration, FabricFault, FaultInjector, PersistentFault, RequestId, Stage, TraceEvent,
-    Tracer, Track, WindowSample,
+    Cycle, Duration, FabricFault, FaultInjector, Frequency, PersistentFault, RequestId, Stage,
+    TraceEvent, Tracer, Track, WindowSample,
 };
 use fam_stu::Stu;
 use fam_vm::{NodeId, Pte, VirtAddr, WalkAccess, PAGE_BYTES};
-use fam_workloads::{MemRef, RefStream, TraceGenerator, Workload};
+use fam_workloads::{RefStream, TraceGenerator, Workload};
 
 use crate::error::SimError;
 use crate::metrics::{
     AuditCheck, AuditReport, DegradationReport, FamTraffic, FaultRecovery, RunReport,
 };
-use crate::node::{Node, FAM_KEY_PAGE};
-use crate::translator::{RetryOutcome, RetryState};
+use crate::node::{Node, FAM_KEY_PAGE, FREQUENCY_MHZ, ISSUE_WIDTH};
+use crate::translator::{RetryConfig, RetryOutcome, RetryState};
 use crate::{Scheme, SystemConfig};
+
+/// STU FAM-PTW cache entries. The paper grants 32 entries at full
+/// memory scale (§IV), where they covered roughly a tenth of a scatter
+/// benchmark's footprint; at this repo's scaled-down footprints
+/// (DESIGN.md §1) the equivalent reach is 4 entries.
+const STU_PTW_ENTRIES: usize = 4;
+/// One-way node↔STU router hop in nanoseconds (the STU sits in the
+/// first router, §III-A).
+const ROUTER_NS: u64 = 10;
+/// STU cache lookup latency.
+const STU_LOOKUP: Duration = Duration(4);
+/// Kernel page-fault service time in nanoseconds (charged once per
+/// first touch; identical across schemes).
+const FAULT_NS: u64 = 1500;
+/// Management-path copy bandwidth, in bytes per core cycle, charged on
+/// the simulated clock while the broker evacuates still-reachable pages
+/// off quarantined FAM (a persistent [`fam_sim::PersistentFault`]).
+const EVACUATION_BYTES_PER_CYCLE: u64 = 64;
 
 /// A complete FAM system under one scheme: nodes, fabric, STUs, the
 /// FAM device and the memory broker (Fig. 6 writ large).
@@ -55,8 +73,10 @@ pub struct System {
     nvm: Vec<NvmModel>,
     broker: MemoryBroker,
     router: Duration,
-    stu_lookup: Duration,
     fault_latency: Duration,
+    /// Retry/timeout/backoff policy the nodes use to recover from
+    /// injected faults.
+    retry: RetryConfig,
     traffic: FamTraffic,
     /// Deterministic fault injection; a disabled injector costs one
     /// branch per FAM round trip and nothing else.
@@ -134,28 +154,6 @@ impl System {
             .collect()
     }
 
-    /// Builds a system whose cores replay recorded traces instead of
-    /// running the synthetic generators — one trace per core, one
-    /// inner vector per node (see [`fam_workloads::trace`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace matrix does not match `nodes ×
-    /// cores_per_node`, or on degenerate configurations.
-    pub fn from_traces(config: SystemConfig, label: &str, traces: Vec<Vec<Vec<MemRef>>>) -> System {
-        assert_eq!(traces.len(), config.nodes, "one trace set per node");
-        let streams = traces
-            .into_iter()
-            .map(|node_traces| {
-                node_traces
-                    .into_iter()
-                    .map(|t| RefStream::from(fam_workloads::TraceReplay::new(t)))
-                    .collect()
-            })
-            .collect();
-        System::with_streams(config, label, streams)
-    }
-
     /// Builds a system from explicit per-core reference streams.
     ///
     /// # Panics
@@ -165,7 +163,7 @@ impl System {
     pub fn with_streams(config: SystemConfig, label: &str, streams: Vec<Vec<RefStream>>) -> System {
         config.validate();
         assert_eq!(streams.len(), config.nodes, "one stream set per node");
-        let freq = config.frequency();
+        let freq = Frequency::mhz(FREQUENCY_MHZ);
         let mut broker = MemoryBroker::new(BrokerConfig {
             fam_bytes: config.fam_bytes,
             acm_width: config.acm_width,
@@ -193,7 +191,7 @@ impl System {
             Vec::new()
         } else {
             (0..config.nodes)
-                .map(|_| Stu::with_ptw_entries(config.stu_config(), config.stu_ptw_entries))
+                .map(|_| Stu::with_ptw_entries(config.stu_config(), STU_PTW_ENTRIES))
                 .collect()
         };
         System {
@@ -203,12 +201,12 @@ impl System {
             walker_free: vec![Cycle::ZERO; config.nodes],
             fabric: Fabric::new(freq, config.fabric, config.nodes, config.fam_modules),
             nvm: (0..config.fam_modules)
-                .map(|_| NvmModel::new(freq, config.nvm))
+                .map(|_| NvmModel::new(freq, NvmConfig::default()))
                 .collect(),
             broker,
-            router: freq.ns_to_cycles(config.router_ns),
-            stu_lookup: Duration(config.stu_lookup_cycles),
-            fault_latency: freq.ns_to_cycles(config.fault_ns),
+            router: freq.ns_to_cycles(ROUTER_NS),
+            fault_latency: freq.ns_to_cycles(FAULT_NS),
+            retry: RetryConfig::default(),
             traffic: FamTraffic::default(),
             injector: FaultInjector::new(config.fault_injection),
             recovery: FaultRecovery::default(),
@@ -312,7 +310,6 @@ impl System {
     /// Draws the next reference of core `c` on node `n`, stages it, and
     /// returns its predicted start.
     fn stage_ref(&mut self, n: usize, c: usize) -> Cycle {
-        let issue_width = u64::from(self.config.issue_width);
         let req = self.tracer.next_request();
         let core = &mut self.nodes[n].cores[c];
         core.staged += 1;
@@ -328,7 +325,7 @@ impl System {
             }
         };
         core.instructions += u64::from(r.gap_instrs) + 1;
-        core.next_issue += Duration(u64::from(r.gap_instrs).div_ceil(issue_width) + 1);
+        core.next_issue += Duration(u64::from(r.gap_instrs).div_ceil(ISSUE_WIDTH) + 1);
         let mut start_req = core.next_issue.max(core.issue_clock);
         if r.dependent {
             start_req = start_req.max(core.last_mem_completion);
@@ -668,7 +665,7 @@ impl System {
                     let module = self.module_of(fam_byte);
                     self.fabric.node_to_fam(t, n, module);
                     self.recovery.timeouts += 1;
-                    let expiry = t + Duration(self.config.retry.timeout_cycles);
+                    let expiry = t + Duration(self.retry.timeout_cycles);
                     if self.tracer.is_enabled() {
                         self.tracer.record(TraceEvent {
                             req,
@@ -717,7 +714,7 @@ impl System {
                     }
                 }
             }
-            match state.on_fault(&self.config.retry) {
+            match state.on_fault(&self.retry) {
                 RetryOutcome::Retry { backoff } => {
                     self.recovery.retries += 1;
                     self.recovery.backoff_cycles += backoff.0;
@@ -792,7 +789,7 @@ impl System {
             let mut state = RetryState::for_request(req);
             loop {
                 t = self.unreachable_nack(n, t, module, req);
-                match state.on_fault(&self.config.retry) {
+                match state.on_fault(&self.retry) {
                     RetryOutcome::Retry { backoff } => {
                         self.recovery.retries += 1;
                         self.recovery.backoff_cycles += backoff.0;
@@ -845,8 +842,7 @@ impl System {
     /// 1. Quarantine the blast zone in the broker's [`FamLayout`] and
     ///    evacuate still-reachable pages (link-severed modules keep a
     ///    management path; dead nodes and failed media lose their
-    ///    data), charging the copy at the configured evacuation
-    ///    bandwidth.
+    ///    data), charging the copy at [`EVACUATION_BYTES_PER_CYCLE`].
     /// 2. Broadcast a translation shootdown to every surviving node:
     ///    stale TLB entries (E-FAM), STU and FAM-PTW cache entries, and
     ///    in-DRAM translation-cache entries naming quarantined pages
@@ -874,12 +870,10 @@ impl System {
             .quarantine_and_evacuate(self.pending_quarantine, fault.evacuable())
             .map_err(|source| SimError::FamExhausted { node: n, source })?;
 
-        // Evacuation rides the management path at a configured
-        // bandwidth; the protocol is stop-the-world on the simulated
-        // clock (every node waits for the broker's all-clear).
-        let evacuation_cycles = evac
-            .bytes_copied
-            .div_ceil(self.config.evacuation_bytes_per_cycle.max(1));
+        // Evacuation rides the management path at a fixed bandwidth;
+        // the protocol is stop-the-world on the simulated clock (every
+        // node waits for the broker's all-clear).
+        let evacuation_cycles = evac.bytes_copied.div_ceil(EVACUATION_BYTES_PER_CYCLE);
         let mut t = t + Duration(evacuation_cycles);
 
         for r in &relocations {
@@ -1152,7 +1146,7 @@ impl System {
     ) -> Result<Cycle, SimError> {
         let node_id = self.nodes[n].id;
         let acc_kind = access_kind(kind);
-        let lookup_done = t + self.router + self.stu_lookup; // node → STU lookup
+        let lookup_done = t + self.router + STU_LOOKUP; // node → STU lookup
         if self.tracer.is_enabled() {
             self.tracer.record(TraceEvent {
                 req,
@@ -1163,7 +1157,7 @@ impl System {
             });
         }
         let mut t = lookup_done;
-        let fam_page = match self.stus[n].cache_mut().ifam_lookup(npa_page) {
+        let fam_page = match self.stus[n].ifam_lookup(npa_page) {
             Some(fam_page) => fam_page,
             None => {
                 // Coupled-entry miss: walk serialized at the FAM-PTW
@@ -1171,7 +1165,7 @@ impl System {
                 // fill the coupled entry.
                 let (fam_page, tw) = self.stu_walk(n, t, npa_page, req)?;
                 t = tw;
-                self.stus[n].cache_mut().ifam_fill(npa_page, fam_page);
+                self.stus[n].ifam_fill(npa_page, fam_page);
                 fam_page
             }
         };
@@ -1246,10 +1240,10 @@ impl System {
                     stage: Stage::Fault,
                     track: Track::Stu(n as u16),
                     start: t,
-                    end: t + self.router + self.stu_lookup + self.router,
+                    end: t + self.router + STU_LOOKUP + self.router,
                 });
             }
-            t += self.router + self.stu_lookup + self.router;
+            t += self.router + STU_LOOKUP + self.router;
             self.recovery.nacks_stale += 1;
             self.nodes[n]
                 .translator
@@ -1307,10 +1301,10 @@ impl System {
                     stage: Stage::StuLookup,
                     track: Track::Stu(n as u16),
                     start: t,
-                    end: t + self.stu_lookup,
+                    end: t + STU_LOOKUP,
                 });
             }
-            t += self.stu_lookup;
+            t += STU_LOOKUP;
             if let Some(acm_addr) = v.acm_fetch_addr {
                 let fetch_start = t;
                 self.traffic.at_acm_reads += 1;

@@ -25,22 +25,6 @@ pub struct RetryConfig {
 }
 
 impl RetryConfig {
-    /// Checks knob sanity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the backoff base is zero or exceeds the cap.
-    pub fn validate(&self) {
-        assert!(
-            self.backoff_base_cycles > 0,
-            "backoff base must be non-zero"
-        );
-        assert!(
-            self.backoff_base_cycles <= self.backoff_cap_cycles,
-            "backoff base must not exceed the cap"
-        );
-    }
-
     /// Backoff before retry number `attempt` (1-based): exponential,
     /// capped, saturating.
     pub fn backoff(&self, attempt: u32) -> Duration {
@@ -510,16 +494,5 @@ mod tests {
         let s = RetryState::for_request(RequestId(42));
         assert_eq!(s.request(), RequestId(42));
         assert_eq!(s.attempts(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "must not exceed the cap")]
-    fn inverted_backoff_rejected() {
-        RetryConfig {
-            backoff_base_cycles: 100,
-            backoff_cap_cycles: 10,
-            ..RetryConfig::default()
-        }
-        .validate();
     }
 }

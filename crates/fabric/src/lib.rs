@@ -125,20 +125,6 @@ impl Fabric {
         self.traverse(now, node, module, bytes.div_ceil(64))
     }
 
-    /// Round trip: request to module `module` plus `response_bytes`
-    /// back, with `service` cycles spent at the FAM side in between.
-    pub fn round_trip(
-        &mut self,
-        now: Cycle,
-        node: usize,
-        module: usize,
-        service: Duration,
-        response_bytes: u64,
-    ) -> Cycle {
-        let there = self.node_to_fam(now, node, module);
-        self.fam_to_node(there + service, node, module, response_bytes)
-    }
-
     /// One-way traversal latency in cycles.
     pub fn latency(&self) -> Duration {
         self.latency
@@ -236,7 +222,8 @@ mod tests {
     #[test]
     fn round_trip_includes_service_time() {
         let mut f = fabric(1);
-        let done = f.round_trip(Cycle(0), 0, 0, Duration(120), 64);
+        let there = f.node_to_fam(Cycle(0), 0, 0);
+        let done = f.fam_to_node(there + Duration(120), 0, 0, 64);
         // 1000 there + 120 service + 1000 back, plus occupancies.
         assert!(done >= Cycle(2120));
         assert!(done < Cycle(2200));

@@ -220,11 +220,6 @@ impl CacheHierarchy {
         self.llc
     }
 
-    /// Lookup latency to the point of an LLC miss (all three levels).
-    pub fn miss_path_latency(&self) -> Duration {
-        Duration(self.config.l1_latency + self.config.l2_latency + self.config.l3_latency)
-    }
-
     /// The configured geometry.
     pub fn config(&self) -> HierarchyConfig {
         self.config
@@ -385,7 +380,6 @@ mod tests {
     fn paper_default_geometry() {
         let h = CacheHierarchy::new(4, HierarchyConfig::default());
         assert_eq!(h.cores(), 4);
-        assert_eq!(h.miss_path_latency(), Duration(54));
     }
 
     #[test]

@@ -41,13 +41,6 @@ impl Cycle {
     pub fn min(self, other: Cycle) -> Cycle {
         Cycle(self.0.min(other.0))
     }
-
-    /// The span from `earlier` to `self`, saturating to zero if
-    /// `earlier` is actually later.
-    #[must_use]
-    pub fn saturating_since(self, earlier: Cycle) -> Duration {
-        Duration(self.0.saturating_sub(earlier.0))
-    }
 }
 
 impl Duration {
@@ -166,16 +159,6 @@ impl Frequency {
     pub fn ns_to_cycles(self, ns: u64) -> Duration {
         Duration((ns * self.mhz).div_ceil(1000))
     }
-
-    /// Converts a picosecond latency to cycles, rounding up.
-    pub fn ps_to_cycles(self, ps: u64) -> Duration {
-        Duration((ps * self.mhz).div_ceil(1_000_000))
-    }
-
-    /// Converts a cycle count back to nanoseconds (rounded down).
-    pub fn cycles_to_ns(self, d: Duration) -> u64 {
-        d.0 * 1000 / self.mhz
-    }
 }
 
 impl Default for Frequency {
@@ -216,12 +199,6 @@ mod tests {
     }
 
     #[test]
-    fn saturating_since_clamps() {
-        assert_eq!(Cycle(5).saturating_since(Cycle(9)), Duration::ZERO);
-        assert_eq!(Cycle(9).saturating_since(Cycle(5)), Duration(4));
-    }
-
-    #[test]
     fn duration_sum_and_times() {
         let total: Duration = [Duration(1), Duration(2), Duration(3)].into_iter().sum();
         assert_eq!(total, Duration(6));
@@ -233,11 +210,6 @@ mod tests {
         let f = Frequency::ghz(2);
         assert_eq!(f.ns_to_cycles(500), Duration(1000));
         assert_eq!(f.ns_to_cycles(1), Duration(2));
-        assert_eq!(f.cycles_to_ns(Duration(1000)), 500);
-        // A 0.3 ns event at 1 GHz still costs one cycle.
-        let g = Frequency::ghz(1);
-        assert_eq!(g.ps_to_cycles(300), Duration(1));
-        assert_eq!(g.ps_to_cycles(0), Duration(0));
     }
 
     #[test]

@@ -50,12 +50,6 @@ impl SimRng {
         }
     }
 
-    /// Derives an independent child RNG, useful for giving each core or
-    /// component its own stream without correlation.
-    pub fn fork(&mut self, salt: u64) -> SimRng {
-        SimRng::seeded(self.next_u64() ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-    }
-
     /// The next uniformly random `u64` (xoshiro256++).
     pub fn next_u64(&mut self) -> u64 {
         let [s0, s1, s2, s3] = self.state;
@@ -176,17 +170,6 @@ mod tests {
         // Out-of-range p clamps rather than panicking.
         assert!(r.chance(2.0));
         assert!(!r.chance(-1.0));
-    }
-
-    #[test]
-    fn fork_is_deterministic_but_distinct() {
-        let mut a = SimRng::seeded(9);
-        let mut b = SimRng::seeded(9);
-        let mut fa = a.fork(1);
-        let mut fb = b.fork(1);
-        assert_eq!(fa.next_u64(), fb.next_u64());
-        let mut fc = SimRng::seeded(9).fork(2);
-        assert_ne!(fa.next_u64(), fc.next_u64());
     }
 
     #[test]

@@ -446,8 +446,8 @@ impl WindowSeries {
         &self.samples
     }
 
-    /// References that completed past the [`MAX_WINDOWS`] cap and were
-    /// folded into the last window.
+    /// References that completed past the series' window cap (2^16
+    /// windows) and were folded into the last window.
     pub fn clipped(&self) -> u64 {
         self.clipped
     }
@@ -607,11 +607,6 @@ impl Tracer {
     /// The retained events, oldest first.
     pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
         self.ring[self.head..].iter().chain(&self.ring[..self.head])
-    }
-
-    /// One node's latency breakdown (node + STU + fabric tracks).
-    pub fn node_breakdown(&self, node: usize) -> &LatencyBreakdown {
-        &self.node_breakdowns[node]
     }
 
     /// The device-side (NVM-track) breakdown.
@@ -822,7 +817,7 @@ mod tests {
         assert_eq!(t.retained(), 0);
         assert_eq!(t.dropped(), 0, "no ring means no overflow to account");
         assert_eq!(t.recorded(), 1);
-        assert_eq!(t.node_breakdown(1).stage(Stage::FabricSend).count(), 1);
+        assert_eq!(t.breakdown().stage(Stage::FabricSend).count(), 1);
     }
 
     #[test]
@@ -832,8 +827,6 @@ mod tests {
         t.record(ev(1, Stage::StuWalk, Track::Stu(0), 2, 12));
         t.record(ev(2, Stage::TlbLookup, Track::Node(1), 0, 4));
         t.record(ev(1, Stage::NvmAccess, Track::Nvm(0), 12, 42));
-        assert_eq!(t.node_breakdown(0).total_samples(), 2);
-        assert_eq!(t.node_breakdown(1).total_samples(), 1);
         assert_eq!(t.device_breakdown().total_samples(), 1);
         let run = t.breakdown();
         assert_eq!(run.total_samples(), 4);

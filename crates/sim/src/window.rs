@@ -114,11 +114,6 @@ impl Window {
         }
     }
 
-    /// Number of operations currently tracked as in flight.
-    pub fn in_flight(&self) -> usize {
-        self.completions.len()
-    }
-
     /// The maximum concurrency observed.
     pub fn peak(&self) -> usize {
         self.peak
@@ -159,7 +154,6 @@ mod tests {
             assert_eq!(w.admit(Cycle(0)), Cycle(0));
             w.record_completion(Cycle(1000));
         }
-        assert_eq!(w.in_flight(), 3);
         assert_eq!(w.stalls(), 0);
     }
 
@@ -227,7 +221,6 @@ mod tests {
         w.admit(Cycle(0));
         w.record_completion(Cycle(5));
         w.reset();
-        assert_eq!(w.in_flight(), 0);
         assert_eq!(w.admitted(), 0);
         assert_eq!(w.capacity(), 2);
     }

@@ -151,9 +151,17 @@ impl Stu {
         &self.cache
     }
 
-    /// Direct access to the organisation-specific cache.
-    pub fn cache_mut(&mut self) -> &mut StuCache {
-        &mut self.cache
+    /// I-FAM coupled-entry lookup: counts one verification and
+    /// consults the cache for the node page's FAM page.
+    pub fn ifam_lookup(&mut self, npa_page: u64) -> Option<u64> {
+        let _prof = fam_sim::profile::span(fam_sim::profile::PhaseId::Stu);
+        self.stats.verifications.inc();
+        self.cache.ifam_lookup(npa_page)
+    }
+
+    /// I-FAM coupled-entry fill (after a modelled walk).
+    pub fn ifam_fill(&mut self, npa_page: u64, fam_page: u64) {
+        self.cache.ifam_fill(npa_page, fam_page)
     }
 
     /// DeACT ACM lookup without verification (timing-only probes).
@@ -190,8 +198,7 @@ impl Stu {
         req: RequestId,
     ) -> Result<IFamTranslation, UnmappedFault> {
         let _prof = fam_sim::profile::span(fam_sim::profile::PhaseId::Stu);
-        self.stats.verifications.inc();
-        if let Some(fam_page) = self.cache.ifam_lookup(npa_page) {
+        if let Some(fam_page) = self.ifam_lookup(npa_page) {
             let allowed = broker.check_access(node, fam_page, kind);
             if !allowed {
                 self.stats.denials.inc();

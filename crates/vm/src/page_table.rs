@@ -1,7 +1,5 @@
 //! A 4-level x86-64-style radix page table.
 
-use crate::addr::PAGE_BYTES;
-
 /// Number of radix levels (PGD, PUD, PMD, PTE — §II-B).
 pub const LEVELS: usize = 4;
 
@@ -252,25 +250,6 @@ impl PageTable {
         None
     }
 
-    /// Entry address that a walk would read at `level` for `vpage`,
-    /// if the walk reaches that level. Level 0 always resolves (the
-    /// root is always present).
-    pub fn entry_addr_at(&self, vpage: u64, level: usize) -> Option<u64> {
-        let mut node = 0usize;
-        for l in 0..=level {
-            let idx = Self::index_at(vpage, l);
-            let addr = self.nodes[node].base_addr + idx as u64 * ENTRY_BYTES;
-            if l == level {
-                return Some(addr);
-            }
-            match self.nodes[node].get(idx) {
-                Some(Slot::Table(n)) => node = *n,
-                _ => return None,
-            }
-        }
-        None
-    }
-
     /// Looks up a mapping without recording walk steps.
     pub fn translate(&self, vpage: u64) -> Option<Pte> {
         self.walk(vpage).mapping
@@ -352,25 +331,16 @@ impl PageTable {
         self.mapped
     }
 
-    /// Number of table (interior + root) pages.
-    pub fn table_pages(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// The simulated CR3: the root page's physical address.
     pub fn root_addr(&self) -> u64 {
         self.nodes[0].base_addr
-    }
-
-    /// Total bytes of physical memory consumed by table pages.
-    pub fn table_bytes(&self) -> u64 {
-        self.nodes.len() as u64 * PAGE_BYTES
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::addr::PAGE_BYTES;
 
     fn bump_alloc(start: u64) -> impl FnMut(usize) -> u64 {
         let mut next = start;
@@ -422,12 +392,16 @@ mod tests {
         let mut pt = PageTable::new(0);
         let mut alloc = bump_alloc(0x10000);
         pt.map(0, 1, PtFlags::ro(), &mut alloc);
-        let tables_before = pt.table_pages();
+        let tables_before = pt.table_page_addrs().count();
         pt.map(1, 2, PtFlags::ro(), &mut alloc);
-        assert_eq!(pt.table_pages(), tables_before, "same PTE page reused");
+        assert_eq!(
+            pt.table_page_addrs().count(),
+            tables_before,
+            "same PTE page reused"
+        );
         // A far-away page needs a whole new subtree.
         pt.map(1 << 27, 3, PtFlags::ro(), &mut alloc);
-        assert_eq!(pt.table_pages(), tables_before + 3);
+        assert_eq!(pt.table_page_addrs().count(), tables_before + 3);
     }
 
     #[test]
@@ -462,18 +436,6 @@ mod tests {
     }
 
     #[test]
-    fn entry_addr_at_matches_walk() {
-        let mut pt = PageTable::new(0);
-        let mut alloc = bump_alloc(0x10000);
-        pt.map(0x777, 1, PtFlags::ro(), &mut alloc);
-        let walk = pt.walk(0x777);
-        for step in &walk.steps {
-            assert_eq!(pt.entry_addr_at(0x777, step.level), Some(step.entry_addr));
-        }
-        assert_eq!(pt.entry_addr_at(0x888 << 18, 3), None, "subtree absent");
-    }
-
-    #[test]
     fn relocate_table_page_repoints_walk_addresses() {
         let mut pt = PageTable::new(0);
         let mut alloc = bump_alloc(0x10000);
@@ -505,7 +467,7 @@ mod tests {
         let mut pt = PageTable::new(0);
         let mut alloc = bump_alloc(0x10000);
         pt.map(0, 1, PtFlags::ro(), &mut alloc);
-        assert_eq!(pt.table_bytes(), 4 * PAGE_BYTES); // root + 3 interior
+        assert_eq!(pt.table_page_addrs().count(), 4); // root + 3 interior
     }
 
     #[test]

@@ -94,11 +94,6 @@ impl RefBatch {
                     self.push(g.next_ref());
                 }
             }
-            RefStream::Replay(r) => {
-                for _ in 0..n {
-                    self.push(r.next_ref());
-                }
-            }
             RefStream::Streamed(r) => {
                 for _ in 0..n {
                     self.push(r.next_ref());

@@ -34,7 +34,7 @@ pub mod trace;
 pub use batch::RefBatch;
 pub use generator::{MemRef, TraceGenerator};
 pub use profiles::{table3, Suite, Workload};
-pub use trace::{RefStream, StreamedReplay, TraceReader, TraceReplay, TraceWriter};
+pub use trace::{RefStream, StreamedReplay, TraceReader, TraceWriter};
 
 /// Base virtual address of the synthetic heap every generator walks.
 pub const VA_BASE: u64 = 0x1000_0000;

@@ -521,58 +521,6 @@ impl<R: Read> TraceReader<R> {
     }
 }
 
-/// Replays a recorded trace held in memory, wrapping around at the end
-/// so runs longer than the trace keep executing (like looping a
-/// kernel).
-#[derive(Debug, Clone)]
-pub struct TraceReplay {
-    refs: Vec<MemRef>,
-    pos: usize,
-    emitted: u64,
-}
-
-impl TraceReplay {
-    /// Creates a replay source.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty trace.
-    pub fn new(refs: Vec<MemRef>) -> TraceReplay {
-        assert!(!refs.is_empty(), "cannot replay an empty trace");
-        TraceReplay {
-            refs,
-            pos: 0,
-            emitted: 0,
-        }
-    }
-
-    /// The next reference, wrapping at the end of the trace.
-    pub fn next_ref(&mut self) -> MemRef {
-        let r = self.refs[self.pos];
-        self.pos = (self.pos + 1) % self.refs.len();
-        self.emitted += 1;
-        r
-    }
-
-    /// Records in the underlying trace.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.refs.len()
-    }
-
-    /// Whether the trace is empty (never true for a constructed value).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.refs.is_empty()
-    }
-
-    /// References emitted so far (counting wrap-arounds).
-    #[must_use]
-    pub fn emitted(&self) -> u64 {
-        self.emitted
-    }
-}
-
 /// Replays one rank's records from a trace file through a streamed
 /// [`TraceReader`], wrapping around at the end of the file. Memory
 /// held is one chunk buffer regardless of trace length.
@@ -735,15 +683,12 @@ impl Clone for StreamedReplay {
     }
 }
 
-/// A reference source: a synthetic generator, an in-memory trace
-/// replay, or a streamed on-disk trace replay. This is what each
-/// simulated core consumes.
+/// A reference source: a synthetic generator or a streamed on-disk
+/// trace replay. This is what each simulated core consumes.
 #[derive(Debug, Clone)]
 pub enum RefStream {
     /// Synthetic Table III generator.
     Synthetic(TraceGenerator),
-    /// Recorded-trace replay from memory.
-    Replay(TraceReplay),
     /// Recorded-trace replay streamed from a file.
     Streamed(StreamedReplay),
 }
@@ -753,7 +698,6 @@ impl RefStream {
     pub fn next_ref(&mut self) -> MemRef {
         match self {
             RefStream::Synthetic(g) => g.next_ref(),
-            RefStream::Replay(r) => r.next_ref(),
             RefStream::Streamed(r) => r.next_ref(),
         }
     }
@@ -763,7 +707,6 @@ impl RefStream {
     pub fn emitted(&self) -> u64 {
         match self {
             RefStream::Synthetic(g) => g.emitted(),
-            RefStream::Replay(r) => r.emitted(),
             RefStream::Streamed(r) => r.emitted(),
         }
     }
@@ -774,7 +717,6 @@ impl RefStream {
     pub fn wraps(&self) -> u64 {
         match self {
             RefStream::Synthetic(_) => 0,
-            RefStream::Replay(r) => r.emitted() / r.len() as u64,
             RefStream::Streamed(r) => r.wraps(),
         }
     }
@@ -783,12 +725,6 @@ impl RefStream {
 impl From<TraceGenerator> for RefStream {
     fn from(g: TraceGenerator) -> RefStream {
         RefStream::Synthetic(g)
-    }
-}
-
-impl From<TraceReplay> for RefStream {
-    fn from(r: TraceReplay) -> RefStream {
-        RefStream::Replay(r)
     }
 }
 
@@ -1003,12 +939,15 @@ mod tests {
     #[test]
     fn replay_wraps_around() {
         let refs = sample_refs(5);
-        let mut replay = TraceReplay::new(refs.clone());
+        let path = temp_path("wrap");
+        write_trace(File::create(&path).unwrap(), &refs).unwrap();
+        let mut replay = StreamedReplay::open(&path, None).unwrap();
         for i in 0..12 {
             assert_eq!(replay.next_ref(), refs[i % 5]);
         }
         assert_eq!(replay.emitted(), 12);
         assert_eq!(replay.len(), 5);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -1095,18 +1034,29 @@ mod tests {
 
     #[test]
     fn ref_stream_dispatches() {
+        let records = sample_records(3, 1);
+        let path = temp_path("dispatch");
+        write_trace_v2(File::create(&path).unwrap(), 1, &records).unwrap();
         let mut synth: RefStream = Workload::by_name("pf").unwrap().generator(1).into();
-        let mut replay: RefStream = TraceReplay::new(sample_refs(3)).into();
+        let mut replay: RefStream = StreamedReplay::open(&path, None).unwrap().into();
         synth.next_ref();
-        replay.next_ref();
+        for r in &records {
+            assert_eq!(replay.next_ref(), r.mem);
+        }
         assert_eq!(synth.emitted(), 1);
-        assert_eq!(replay.emitted(), 1);
+        assert_eq!(replay.emitted(), 3);
         assert_eq!(synth.wraps(), 0);
+        assert_eq!(replay.wraps(), 1);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     #[should_panic(expected = "empty trace")]
     fn empty_replay_rejected() {
-        let _ = TraceReplay::new(Vec::new());
+        let path = temp_path("empty");
+        write_trace(File::create(&path).unwrap(), &[]).unwrap();
+        let opened = StreamedReplay::open(&path, None);
+        std::fs::remove_file(&path).ok();
+        opened.unwrap();
     }
 }

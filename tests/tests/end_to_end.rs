@@ -229,16 +229,25 @@ fn lru_translation_cache_hits_at_least_as_often_but_writes_more() {
 
 #[test]
 fn trace_replay_drives_the_full_system() {
+    use fam_workloads::trace::{replay_streams, TraceRecord};
+    use fam_workloads::TraceWriter;
+
     let c = cfg(Scheme::DeactN).with_refs_per_core(2_000);
     let w = fam_workloads::Workload::by_name("pf").unwrap();
-    let traces: Vec<Vec<Vec<fam_workloads::MemRef>>> = (0..c.nodes)
-        .map(|_| {
-            (0..c.cores_per_node)
-                .map(|core| w.generator(core as u64).take_refs(2_000))
-                .collect()
-        })
-        .collect();
-    let r = deact::System::from_traces(c, "pf-trace", traces).run();
+    let ranks = (c.nodes * c.cores_per_node) as u16;
+    let path = std::env::temp_dir().join(format!("e2e-pf-trace-{}.famt", std::process::id()));
+    let file = std::io::BufWriter::new(std::fs::File::create(&path).unwrap());
+    let mut writer = TraceWriter::v2(file, ranks, u64::from(ranks) * 2_000).unwrap();
+    for rank in 0..ranks {
+        let core = usize::from(rank) % c.cores_per_node;
+        for mem in w.generator(core as u64).take_refs(2_000) {
+            writer.push(&TraceRecord { rank, mem }).unwrap();
+        }
+    }
+    writer.finish().unwrap();
+    let streams = replay_streams(&path, c.nodes, c.cores_per_node).unwrap();
+    let r = deact::System::with_streams(c, "pf-trace", streams).run();
+    std::fs::remove_file(&path).ok();
     assert_eq!(r.workload, "pf-trace");
     assert!(r.ipc > 0.0);
     assert!(r.fam.data_reads > 0);

@@ -168,11 +168,10 @@ fn acm_entry_roundtrip() {
 fn packet_roundtrip() {
     let mut rng = SimRng::seeded(0xFAB);
     for _ in 0..TRIALS * 20 {
-        let kind = match rng.below(4) {
-            0 => PacketKind::Read,
-            1 => PacketKind::Write,
-            2 => PacketKind::TranslationRequest,
-            _ => PacketKind::TranslationResponse,
+        let kind = if rng.chance(0.5) {
+            PacketKind::Read
+        } else {
+            PacketKind::Write
         };
         let p = Packet {
             kind,

@@ -3,7 +3,8 @@
 //! device counters, and scheme-specific traffic classes must be empty
 //! where the scheme has no such mechanism.
 
-use deact::{run_benchmark, Scheme, SystemConfig};
+use deact::{run_benchmark, Scheme, System, SystemConfig};
+use fam_workloads::Workload;
 
 fn cfg(scheme: Scheme) -> SystemConfig {
     SystemConfig::paper_default()
@@ -43,6 +44,28 @@ fn deact_traffic_classes() {
         r.dram_reads > r.fam.data_reads / 2,
         "translation cache reads DRAM"
     );
+}
+
+#[test]
+fn stu_counts_one_verification_per_data_access() {
+    // Both secure schemes vet every data access at the STU exactly
+    // once: I-FAM in its coupled lookup, DeACT in the decoupled check.
+    let sssp = Workload::by_name("sssp").unwrap();
+    for scheme in [Scheme::IFam, Scheme::DeactN] {
+        let mut sys = System::new(cfg(scheme).with_refs_per_core(5_000), &sssp);
+        let r = sys.run();
+        let verifications: u64 = sys
+            .stus()
+            .iter()
+            .map(|s| s.stats().verifications.value())
+            .sum();
+        assert!(verifications > 0, "{scheme}");
+        assert_eq!(
+            verifications,
+            r.fam.data_reads + r.fam.data_writes,
+            "{scheme}: verifications vs data accesses"
+        );
+    }
 }
 
 #[test]
