@@ -55,8 +55,8 @@ pub(crate) const LOCAL_FRACTION: f64 = 0.20;
 pub struct PendingRef {
     /// The reference to execute.
     pub mem: fam_workloads::MemRef,
-    /// Trace identity, threaded through every stage of the reference's
-    /// lifetime ([`RequestId::UNTRACED`] when tracing is off).
+    /// Trace identity, handed to the tracer when the reference runs
+    /// ([`RequestId::UNTRACED`] when tracing is off).
     pub req: RequestId,
     /// Requested start (issue time, after any dependence wait).
     pub start_req: Cycle,

@@ -9,8 +9,8 @@ use fam_fabric::Fabric;
 use fam_mem::{MemOpKind, NvmConfig, NvmModel};
 use fam_sim::profile::{self, PhaseId};
 use fam_sim::{
-    Cycle, Duration, FabricFault, FaultInjector, Frequency, PersistentFault, RequestId, Stage,
-    TraceEvent, Tracer, Track, WindowSample,
+    Cycle, Duration, FabricFault, FaultInjector, Frequency, PersistentFault, Stage, Tracer, Track,
+    WindowSample,
 };
 use fam_stu::Stu;
 use fam_vm::{NodeId, Pte, VirtAddr, WalkAccess, PAGE_BYTES};
@@ -211,7 +211,7 @@ impl System {
             injector: FaultInjector::new(config.fault_injection),
             recovery: FaultRecovery::default(),
             frame_scratch: Vec::with_capacity(fam_fabric::packet::PACKET_BYTES),
-            tracer: Tracer::new(config.trace, config.nodes),
+            tracer: Tracer::new(config.trace),
             pending_quarantine: match config.fault_injection.persistent {
                 None => Quarantine::None,
                 Some(schedule) => match schedule.fault {
@@ -344,7 +344,7 @@ impl System {
     /// end.
     fn sim_ref(&mut self, n: usize, c: usize) -> Result<(), SimError> {
         let _prof = profile::span(PhaseId::SchedDispatch);
-        let (r, req, t) = {
+        let (r, t) = {
             let core = &mut self.nodes[n].cores[c];
             let p = core
                 .pending
@@ -352,7 +352,8 @@ impl System {
                 .expect("sim_ref runs only on staged cores");
             let start = core.window.admit(p.start_req);
             core.issue_clock = start;
-            (p.mem, p.req, start)
+            self.tracer.begin(p.req);
+            (p.mem, start)
         };
         // Time-series snapshot: traffic/recovery counters before the
         // reference, so their deltas can be attributed to its window.
@@ -368,7 +369,7 @@ impl System {
         };
 
         // Node-level translation (TLB → node page-table walk).
-        let (pte, t) = self.translate(n, c, r.vaddr, t, req)?;
+        let (pte, t) = self.translate(n, c, r.vaddr, t)?;
         let phys_byte = pte.target_page * PAGE_BYTES + r.vaddr.offset();
         let line = phys_byte / 64;
 
@@ -390,7 +391,7 @@ impl System {
                             self.traffic.data_reads += 1;
                         }
                         let fam_byte = phys_byte - FAM_KEY_PAGE * PAGE_BYTES;
-                        self.fam_round_trip(n, completion, fam_byte, kind, req)?
+                        self.fam_round_trip(n, completion, fam_byte, kind)?
                     }
                     Scheme::IFam => self.ifam_fam_access(
                         n,
@@ -398,7 +399,6 @@ impl System {
                         pte.target_page,
                         r.vaddr.offset(),
                         kind,
-                        req,
                     )?,
                     Scheme::DeactW | Scheme::DeactN => self.deact_fam_access(
                         n,
@@ -406,7 +406,6 @@ impl System {
                         pte.target_page,
                         r.vaddr.offset(),
                         kind,
-                        req,
                     )?,
                 }
             } else if r.is_write {
@@ -447,21 +446,13 @@ impl System {
         c: usize,
         vaddr: VirtAddr,
         t: Cycle,
-        req: RequestId,
     ) -> Result<(Pte, Cycle), SimError> {
         let vpage = vaddr.vpage();
         let (_, tlb_latency, hit) = self.nodes[n].cores[c].tlb.lookup(vpage);
         let start = t;
         let mut t = t + tlb_latency;
-        if self.tracer.is_enabled() {
-            self.tracer.record(TraceEvent {
-                req,
-                stage: Stage::TlbLookup,
-                track: Track::Node(n as u16),
-                start,
-                end: t,
-            });
-        }
+        self.tracer
+            .span(Stage::TlbLookup, Track::Node(n as u16), start, t);
         if let Some(pte) = hit {
             return Ok((pte, t));
         }
@@ -483,15 +474,12 @@ impl System {
             match mapping {
                 None => {
                     // Node-level page fault: the OS installs a mapping.
-                    if self.tracer.is_enabled() {
-                        self.tracer.record(TraceEvent {
-                            req,
-                            stage: Stage::Fault,
-                            track: Track::Node(n as u16),
-                            start: t,
-                            end: t + self.fault_latency,
-                        });
-                    }
+                    self.tracer.span(
+                        Stage::Fault,
+                        Track::Node(n as u16),
+                        t,
+                        t + self.fault_latency,
+                    );
                     t += self.fault_latency;
                     let node = &mut self.nodes[n];
                     node.map_page(vaddr, &mut self.broker)
@@ -500,16 +488,11 @@ impl System {
                 Some(mut pte) => {
                     let walk_start = t;
                     for acc in &walk_buf {
-                        t = self.pt_step_access(n, c, acc.entry_addr, t, req)?;
+                        t = self.pt_step_access(n, c, acc.entry_addr, t)?;
                     }
-                    if self.tracer.is_enabled() && !walk_buf.is_empty() {
-                        self.tracer.record(TraceEvent {
-                            req,
-                            stage: Stage::PtWalk,
-                            track: Track::Node(n as u16),
-                            start: walk_start,
-                            end: t,
-                        });
+                    if !walk_buf.is_empty() {
+                        self.tracer
+                            .span(Stage::PtWalk, Track::Node(n as u16), walk_start, t);
                     }
                     // E-FAM lazy PTE heal: a walk surfacing a PTE that
                     // names a quarantined FAM key repairs it in place
@@ -563,7 +546,6 @@ impl System {
         c: usize,
         entry_addr: u64,
         t: Cycle,
-        req: RequestId,
     ) -> Result<Cycle, SimError> {
         let lookup = self.nodes[n].hierarchy.access(c, entry_addr / 64, false);
         let mut t = t + lookup.latency;
@@ -577,7 +559,7 @@ impl System {
                 );
                 self.traffic.at_pte_reads += 1;
                 let fam_byte = entry_addr - FAM_KEY_PAGE * PAGE_BYTES;
-                self.fam_round_trip(n, t, fam_byte, MemOpKind::Read, req)?
+                self.fam_round_trip(n, t, fam_byte, MemOpKind::Read)?
             } else {
                 self.nodes[n].dram.access(t, entry_addr)
             };
@@ -625,35 +607,29 @@ impl System {
         t: Cycle,
         fam_byte: u64,
         kind: MemOpKind,
-        req: RequestId,
     ) -> Result<Cycle, SimError> {
         if !self.injector.is_enabled() {
-            return Ok(self.fam_round_trip_clean(n, t, fam_byte, kind, req));
+            return Ok(self.fam_round_trip_clean(n, t, fam_byte, kind));
         }
         self.injector.note_fam_op();
         if self.injector.persistent_active().is_some() && self.persistent_strikes(fam_byte) {
-            return self.persistent_path(n, t, fam_byte, kind, req);
+            return self.persistent_path(n, t, fam_byte, kind);
         }
         let mut t = t;
-        let mut state = RetryState::for_request(req);
+        let mut state = RetryState::new();
         loop {
             // Scheduled link-down window: the requester sits at the
             // serializer until the link returns.
             let up = self.injector.link_up_at(t);
             self.recovery.link_down_wait_cycles += (up - t).0;
-            if self.tracer.is_enabled() && up > t {
-                self.tracer.record(TraceEvent {
-                    req,
-                    stage: Stage::Fault,
-                    track: Track::Fabric(n as u16),
-                    start: t,
-                    end: up,
-                });
+            if up > t {
+                self.tracer
+                    .span(Stage::Fault, Track::Fabric(n as u16), t, up);
             }
             t = up;
             match self.injector.fabric_fault() {
                 None => {
-                    let done = self.fam_round_trip_clean(n, t, fam_byte, kind, req);
+                    let done = self.fam_round_trip_clean(n, t, fam_byte, kind);
                     if state.attempts() > 0 {
                         self.recovery.recovered += 1;
                     }
@@ -666,15 +642,8 @@ impl System {
                     self.fabric.node_to_fam(t, n, module);
                     self.recovery.timeouts += 1;
                     let expiry = t + Duration(self.retry.timeout_cycles);
-                    if self.tracer.is_enabled() {
-                        self.tracer.record(TraceEvent {
-                            req,
-                            stage: Stage::Retry,
-                            track: Track::Fabric(n as u16),
-                            start: t,
-                            end: expiry,
-                        });
-                    }
+                    self.tracer
+                        .span(Stage::Retry, Track::Fabric(n as u16), t, expiry);
                     t = expiry;
                 }
                 Some(FabricFault::Corrupt) => {
@@ -682,7 +651,7 @@ impl System {
                     // catch it — detection is earned, not assumed. The
                     // FAM side answers with a corrupt-NACK, costing a
                     // full fabric round trip with no device service.
-                    self.fill_corrupted_frame(n, fam_byte, kind, req);
+                    self.fill_corrupted_frame(n, fam_byte, kind);
                     match Packet::decode(&self.frame_scratch) {
                         Err(_) => {
                             self.recovery.nacks_corrupt += 1;
@@ -694,22 +663,15 @@ impl System {
                                 module,
                                 fam_fabric::packet::RESPONSE_BYTES as u64,
                             );
-                            if self.tracer.is_enabled() {
-                                self.tracer.record(TraceEvent {
-                                    req,
-                                    stage: Stage::Retry,
-                                    track: Track::Fabric(n as u16),
-                                    start: t,
-                                    end: back,
-                                });
-                            }
+                            self.tracer
+                                .span(Stage::Retry, Track::Fabric(n as u16), t, back);
                             t = back;
                         }
                         Ok(_) => {
                             // Unreachable with CRC-16 and a single-byte
                             // flip, but honesty demands the branch: an
                             // undetected corruption is a delivery.
-                            return Ok(self.fam_round_trip_clean(n, t, fam_byte, kind, req));
+                            return Ok(self.fam_round_trip_clean(n, t, fam_byte, kind));
                         }
                     }
                 }
@@ -718,15 +680,8 @@ impl System {
                 RetryOutcome::Retry { backoff } => {
                     self.recovery.retries += 1;
                     self.recovery.backoff_cycles += backoff.0;
-                    if self.tracer.is_enabled() {
-                        self.tracer.record(TraceEvent {
-                            req,
-                            stage: Stage::Backoff,
-                            track: Track::Fabric(n as u16),
-                            start: t,
-                            end: t + backoff,
-                        });
-                    }
+                    self.tracer
+                        .span(Stage::Backoff, Track::Fabric(n as u16), t, t + backoff);
                     t += backoff;
                 }
                 RetryOutcome::GiveUp => {
@@ -735,7 +690,7 @@ impl System {
                     // but still completes so the run finishes and the
                     // damage is measurable instead of a crash.
                     self.recovery.fatal += 1;
-                    return Ok(self.fam_round_trip_clean(n, t, fam_byte, kind, req));
+                    return Ok(self.fam_round_trip_clean(n, t, fam_byte, kind));
                 }
             }
         }
@@ -744,21 +699,14 @@ impl System {
     /// One fabric round trip ending in an unreachable-NACK from the
     /// failed endpoint's management plane (the data path is gone, the
     /// enclosure still answers).
-    fn unreachable_nack(&mut self, n: usize, t: Cycle, module: usize, req: RequestId) -> Cycle {
+    fn unreachable_nack(&mut self, n: usize, t: Cycle, module: usize) -> Cycle {
         let arrival = self.fabric.node_to_fam(t, n, module);
         let back = self
             .fabric
             .fam_to_node(arrival, n, module, RESPONSE_BYTES as u64);
         self.recovery.nacks_unreachable += 1;
-        if self.tracer.is_enabled() {
-            self.tracer.record(TraceEvent {
-                req,
-                stage: Stage::Retry,
-                track: Track::Fabric(n as u16),
-                start: t,
-                end: back,
-            });
-        }
+        self.tracer
+            .span(Stage::Retry, Track::Fabric(n as u16), t, back);
         back
     }
 
@@ -781,33 +729,25 @@ impl System {
         t: Cycle,
         fam_byte: u64,
         kind: MemOpKind,
-        req: RequestId,
     ) -> Result<Cycle, SimError> {
         let mut t = t;
         let module = self.module_of(fam_byte);
         if !self.persistent_handled {
-            let mut state = RetryState::for_request(req);
+            let mut state = RetryState::new();
             loop {
-                t = self.unreachable_nack(n, t, module, req);
+                t = self.unreachable_nack(n, t, module);
                 match state.on_fault(&self.retry) {
                     RetryOutcome::Retry { backoff } => {
                         self.recovery.retries += 1;
                         self.recovery.backoff_cycles += backoff.0;
-                        if self.tracer.is_enabled() {
-                            self.tracer.record(TraceEvent {
-                                req,
-                                stage: Stage::Backoff,
-                                track: Track::Fabric(n as u16),
-                                start: t,
-                                end: t + backoff,
-                            });
-                        }
+                        self.tracer
+                            .span(Stage::Backoff, Track::Fabric(n as u16), t, t + backoff);
                         t += backoff;
                     }
                     RetryOutcome::GiveUp => break,
                 }
             }
-            t = self.recover_from_persistent(n, t, req)?;
+            t = self.recover_from_persistent(n, t)?;
         }
         let fam_page = fam_byte / PAGE_BYTES;
         match self.moved.get(&fam_page).copied().flatten() {
@@ -819,14 +759,13 @@ impl System {
                     t,
                     new_fam * PAGE_BYTES + fam_byte % PAGE_BYTES,
                     kind,
-                    req,
                 ))
             }
             None => {
                 // Destroyed data (or a mapping recovery never knew
                 // about): fast-fail with one NACK and poison the
                 // access instead of panicking.
-                let back = self.unreachable_nack(n, t, module, req);
+                let back = self.unreachable_nack(n, t, module);
                 self.degradation.poisoned_accesses += 1;
                 if self.config.halt_on_data_loss {
                     return Err(SimError::DataLoss { node: n, fam_page });
@@ -852,12 +791,7 @@ impl System {
     ///    rebuildable).
     ///
     /// [`FamLayout`]: fam_broker::FamLayout
-    fn recover_from_persistent(
-        &mut self,
-        n: usize,
-        t: Cycle,
-        req: RequestId,
-    ) -> Result<Cycle, SimError> {
+    fn recover_from_persistent(&mut self, n: usize, t: Cycle) -> Result<Cycle, SimError> {
         self.persistent_handled = true;
         let started = t;
         self.degradation.recovery_started_cycle = t.0;
@@ -884,15 +818,8 @@ impl System {
         }
         let shootdown_start = t;
         t += self.shootdown_all_nodes(&relocations);
-        if self.tracer.is_enabled() {
-            self.tracer.record(TraceEvent {
-                req,
-                stage: Stage::Fault,
-                track: Track::Fabric(n as u16),
-                start: started,
-                end: t,
-            });
-        }
+        self.tracer
+            .span(Stage::Fault, Track::Fabric(n as u16), started, t);
 
         let d = &mut self.degradation;
         d.pages_quarantined = evac.capacity_pages_lost;
@@ -982,17 +909,18 @@ impl System {
     /// Encodes the request as its wire packet into the per-`System`
     /// scratch buffer and applies the injector's chosen corruption to
     /// it — no allocation per injected frame.
-    fn fill_corrupted_frame(&mut self, n: usize, fam_byte: u64, kind: MemOpKind, req: RequestId) {
-        let packet = Packet::for_request(
-            match kind {
+    fn fill_corrupted_frame(&mut self, n: usize, fam_byte: u64, kind: MemOpKind) {
+        // The tag is never read: the CRC check rejects the frame.
+        let packet = Packet {
+            kind: match kind {
                 MemOpKind::Read => PacketKind::Read,
                 MemOpKind::Write => PacketKind::Write,
             },
-            self.nodes[n].id,
-            fam_byte,
-            true,
-            req,
-        );
+            source: self.nodes[n].id,
+            addr: fam_byte,
+            verified: true,
+            tag: 0,
+        };
         packet.encode_into(&mut self.frame_scratch);
         let (pos, mask) = self.injector.corruption_site(self.frame_scratch.len());
         self.frame_scratch[pos] ^= mask;
@@ -1006,48 +934,24 @@ impl System {
         t: Cycle,
         fam_byte: u64,
         kind: MemOpKind,
-        req: RequestId,
     ) -> Cycle {
         let module = self.module_of(fam_byte);
         let arrival = self.fabric.node_to_fam(t, n, module);
         let done = self.nvm[module].access(arrival, fam_byte, kind);
         let ret = self.fabric.fam_to_node(done, n, module, 64);
-        if self.tracer.is_enabled() {
-            self.tracer.record(TraceEvent {
-                req,
-                stage: Stage::FabricSend,
-                track: Track::Fabric(n as u16),
-                start: t,
-                end: arrival,
-            });
-            self.tracer.record(TraceEvent {
-                req,
-                stage: Stage::NvmAccess,
-                track: Track::Nvm(module as u16),
-                start: arrival,
-                end: done,
-            });
-            self.tracer.record(TraceEvent {
-                req,
-                stage: Stage::FabricRecv,
-                track: Track::Fabric(n as u16),
-                start: done,
-                end: ret,
-            });
-        }
+        self.tracer
+            .span(Stage::FabricSend, Track::Fabric(n as u16), t, arrival);
+        self.tracer
+            .span(Stage::NvmAccess, Track::Nvm(module as u16), arrival, done);
+        self.tracer
+            .span(Stage::FabricRecv, Track::Fabric(n as u16), done, ret);
         ret
     }
 
     /// Walks the system page table at the STU, serialized on the
     /// node's single FAM-PTW unit; every entry read is a FAM round
     /// trip counted as AT traffic.
-    fn stu_walk(
-        &mut self,
-        n: usize,
-        t: Cycle,
-        npa_page: u64,
-        req: RequestId,
-    ) -> Result<(u64, Cycle), SimError> {
+    fn stu_walk(&mut self, n: usize, t: Cycle, npa_page: u64) -> Result<(u64, Cycle), SimError> {
         let node_id = self.nodes[n].id;
         let mut t = t;
         // Injected STU stall: the unit is briefly unresponsive (queue
@@ -1055,35 +959,23 @@ impl System {
         if self.injector.is_enabled() {
             if let Some(stall) = self.injector.stu_stall() {
                 self.recovery.stu_stall_cycles += stall.0;
-                if self.tracer.is_enabled() {
-                    self.tracer.record(TraceEvent {
-                        req,
-                        stage: Stage::Fault,
-                        track: Track::Stu(n as u16),
-                        start: t,
-                        end: t + stall,
-                    });
-                }
+                self.tracer
+                    .span(Stage::Fault, Track::Stu(n as u16), t, t + stall);
                 t += stall;
             }
         }
         loop {
-            match self.stus[n].walk_system_table(&self.broker, node_id, npa_page, req) {
+            match self.stus[n].walk_system_table(&self.broker, node_id, npa_page) {
                 Ok((fam_page, plan)) => {
                     let start = t.max(self.walker_free[n]);
                     let mut tw = start;
                     for acc in &plan.accesses {
                         self.traffic.at_walk_reads += 1;
-                        tw = self.fam_round_trip(n, tw, acc.entry_addr, MemOpKind::Read, req)?;
+                        tw = self.fam_round_trip(n, tw, acc.entry_addr, MemOpKind::Read)?;
                     }
-                    if self.tracer.is_enabled() && tw > start {
-                        self.tracer.record(TraceEvent {
-                            req,
-                            stage: Stage::StuWalk,
-                            track: Track::Stu(n as u16),
-                            start,
-                            end: tw,
-                        });
+                    if tw > start {
+                        self.tracer
+                            .span(Stage::StuWalk, Track::Stu(n as u16), start, tw);
                     }
                     // A walk whose entry reads escalated into recovery
                     // planned against the pre-recovery table; its
@@ -1115,15 +1007,12 @@ impl System {
                     }
                     // System-level fault: the STU asks the broker for
                     // a page (§II-C) and retries.
-                    if self.tracer.is_enabled() {
-                        self.tracer.record(TraceEvent {
-                            req,
-                            stage: Stage::Fault,
-                            track: Track::Stu(n as u16),
-                            start: t,
-                            end: t + self.fault_latency,
-                        });
-                    }
+                    self.tracer.span(
+                        Stage::Fault,
+                        Track::Stu(n as u16),
+                        t,
+                        t + self.fault_latency,
+                    );
                     t += self.fault_latency;
                     self.nodes[n]
                         .system_fault(npa_page, &mut self.broker)
@@ -1142,20 +1031,12 @@ impl System {
         npa_page: u64,
         offset: u64,
         kind: MemOpKind,
-        req: RequestId,
     ) -> Result<Cycle, SimError> {
         let node_id = self.nodes[n].id;
         let acc_kind = access_kind(kind);
         let lookup_done = t + self.router + STU_LOOKUP; // node → STU lookup
-        if self.tracer.is_enabled() {
-            self.tracer.record(TraceEvent {
-                req,
-                stage: Stage::StuLookup,
-                track: Track::Stu(n as u16),
-                start: t,
-                end: lookup_done,
-            });
-        }
+        self.tracer
+            .span(Stage::StuLookup, Track::Stu(n as u16), t, lookup_done);
         let mut t = lookup_done;
         let fam_page = match self.stus[n].ifam_lookup(npa_page) {
             Some(fam_page) => fam_page,
@@ -1163,7 +1044,7 @@ impl System {
                 // Coupled-entry miss: walk serialized at the FAM-PTW
                 // (`stu_walk` handles system faults internally), then
                 // fill the coupled entry.
-                let (fam_page, tw) = self.stu_walk(n, t, npa_page, req)?;
+                let (fam_page, tw) = self.stu_walk(n, t, npa_page)?;
                 t = tw;
                 self.stus[n].ifam_fill(npa_page, fam_page);
                 fam_page
@@ -1177,7 +1058,7 @@ impl System {
             MemOpKind::Read => self.traffic.data_reads += 1,
             MemOpKind::Write => self.traffic.data_writes += 1,
         }
-        let done = self.fam_round_trip(n, t, fam_page * PAGE_BYTES + offset, kind, req)?;
+        let done = self.fam_round_trip(n, t, fam_page * PAGE_BYTES + offset, kind)?;
         Ok(done + self.router) // response back through the router
     }
 
@@ -1190,7 +1071,6 @@ impl System {
         npa_page: u64,
         offset: u64,
         kind: MemOpKind,
-        req: RequestId,
     ) -> Result<Cycle, SimError> {
         let node_id = self.nodes[n].id;
         let acc_kind = access_kind(kind);
@@ -1203,15 +1083,8 @@ impl System {
             .expect("DeACT nodes have a translator")
             .dram_addr_of(npa_page);
         let mut t = self.nodes[n].dram.access(t, set_addr) + Duration(1);
-        if self.tracer.is_enabled() {
-            self.tracer.record(TraceEvent {
-                req,
-                stage: Stage::TranslationCache,
-                track: Track::Node(n as u16),
-                start: t_in,
-                end: t,
-            });
-        }
+        self.tracer
+            .span(Stage::TranslationCache, Track::Node(n as u16), t_in, t);
 
         let mut cached = self.nodes[n]
             .translator
@@ -1234,15 +1107,12 @@ impl System {
         if cached.is_some() && self.injector.is_enabled() && self.injector.stale_translation() {
             // The doomed pre-translated request travels node → STU and
             // the NACK travels back before the node can react.
-            if self.tracer.is_enabled() {
-                self.tracer.record(TraceEvent {
-                    req,
-                    stage: Stage::Fault,
-                    track: Track::Stu(n as u16),
-                    start: t,
-                    end: t + self.router + STU_LOOKUP + self.router,
-                });
-            }
+            self.tracer.span(
+                Stage::Fault,
+                Track::Stu(n as u16),
+                t,
+                t + self.router + STU_LOOKUP + self.router,
+            );
             t += self.router + STU_LOOKUP + self.router;
             self.recovery.nacks_stale += 1;
             self.nodes[n]
@@ -1264,7 +1134,7 @@ impl System {
             None => {
                 // ④ V = 0: the STU walks on our behalf...
                 t += self.router;
-                let (fam_page, tw) = self.stu_walk(n, t, npa_page, req)?;
+                let (fam_page, tw) = self.stu_walk(n, t, npa_page)?;
                 t = tw;
                 if stale_nacked {
                     // The reissue-as-unverified walk *is* the retry, and
@@ -1294,34 +1164,20 @@ impl System {
         // encrypted-memory extension, reads skip verification entirely
         // (a foreign node's ciphertext is useless without its key).
         if !(self.config.skip_read_checks && kind == MemOpKind::Read) {
-            let v = self.stus[n].verify(&self.broker, node_id, fam_page, acc_kind, req);
-            if self.tracer.is_enabled() {
-                self.tracer.record(TraceEvent {
-                    req,
-                    stage: Stage::StuLookup,
-                    track: Track::Stu(n as u16),
-                    start: t,
-                    end: t + STU_LOOKUP,
-                });
-            }
+            let v = self.stus[n].verify(&self.broker, node_id, fam_page, acc_kind);
+            self.tracer
+                .span(Stage::StuLookup, Track::Stu(n as u16), t, t + STU_LOOKUP);
             t += STU_LOOKUP;
             if let Some(acm_addr) = v.acm_fetch_addr {
                 let fetch_start = t;
                 self.traffic.at_acm_reads += 1;
-                t = self.fam_round_trip(n, t, acm_addr, MemOpKind::Read, req)?;
+                t = self.fam_round_trip(n, t, acm_addr, MemOpKind::Read)?;
                 if let Some(bitmap_addr) = v.bitmap_fetch_addr {
                     self.traffic.at_bitmap_reads += 1;
-                    t = self.fam_round_trip(n, t, bitmap_addr, MemOpKind::Read, req)?;
+                    t = self.fam_round_trip(n, t, bitmap_addr, MemOpKind::Read)?;
                 }
-                if self.tracer.is_enabled() {
-                    self.tracer.record(TraceEvent {
-                        req,
-                        stage: Stage::AcmFetch,
-                        track: Track::Stu(n as u16),
-                        start: fetch_start,
-                        end: t,
-                    });
-                }
+                self.tracer
+                    .span(Stage::AcmFetch, Track::Stu(n as u16), fetch_start, t);
             }
             assert!(v.allowed, "benign workloads never trip access control");
         }
@@ -1330,7 +1186,7 @@ impl System {
             MemOpKind::Read => self.traffic.data_reads += 1,
             MemOpKind::Write => self.traffic.data_writes += 1,
         }
-        let done = self.fam_round_trip(n, t, fam_page * PAGE_BYTES + offset, kind, req)?;
+        let done = self.fam_round_trip(n, t, fam_page * PAGE_BYTES + offset, kind)?;
 
         if kind == MemOpKind::Read {
             let tr = self.nodes[n].translator.as_mut().expect("checked above");
@@ -1460,7 +1316,7 @@ impl System {
             recovery: self.recovery_report(),
             degradation: self.degradation,
             refs_per_core: self.config.refs_per_core,
-            latency: self.tracer.breakdown(),
+            latency: self.tracer.breakdown().clone(),
             fast_path_coverage: 0.0,
             parallel_phase_coverage: 0.0,
             profile: if profile::is_enabled() {

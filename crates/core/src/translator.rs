@@ -4,7 +4,7 @@
 
 use fam_mem::{CacheConfig, Replacement, SetAssocCache};
 use fam_sim::stats::{Counter, Ratio};
-use fam_sim::{Duration, RequestId};
+use fam_sim::Duration;
 
 /// Retry policy for FAM requests that bounce (timeout on a dropped
 /// frame, corrupt-NACK, stale-NACK). Exponential backoff, capped:
@@ -81,26 +81,12 @@ pub enum RetryOutcome {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RetryState {
     attempts: u32,
-    req: RequestId,
 }
 
 impl RetryState {
     /// Fresh state: no faults seen yet.
     pub fn new() -> RetryState {
         RetryState::default()
-    }
-
-    /// Fresh state bound to a traced request, so reissued frames carry
-    /// the request's wire tag and retries land on the right trace
-    /// track.
-    pub fn for_request(req: RequestId) -> RetryState {
-        RetryState { attempts: 0, req }
-    }
-
-    /// The traced request this state belongs to
-    /// ([`RequestId::UNTRACED`] when built with [`RetryState::new`]).
-    pub fn request(&self) -> RequestId {
-        self.req
     }
 
     /// Retries consumed so far.
@@ -481,18 +467,11 @@ mod tests {
             ..RetryConfig::default()
         };
         let mut s = RetryState::new();
+        assert_eq!(s.attempts(), 0);
         assert!(matches!(s.on_fault(&cfg), RetryOutcome::Retry { .. }));
         assert!(matches!(s.on_fault(&cfg), RetryOutcome::Retry { .. }));
         assert_eq!(s.attempts(), 2);
         assert_eq!(s.on_fault(&cfg), RetryOutcome::GiveUp);
         assert_eq!(s.attempts(), 2, "give-up consumes no attempt");
-    }
-
-    #[test]
-    fn retry_state_carries_request_identity() {
-        assert_eq!(RetryState::new().request(), RequestId::UNTRACED);
-        let s = RetryState::for_request(RequestId(42));
-        assert_eq!(s.request(), RequestId(42));
-        assert_eq!(s.attempts(), 0);
     }
 }

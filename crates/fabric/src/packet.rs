@@ -13,7 +13,6 @@
 //! modelled as timing (a [`RESPONSE_BYTES`] frame on the return link)
 //! and counters, not as encoded frames.
 
-use fam_sim::RequestId;
 use fam_vm::NodeId;
 
 /// What a fabric packet asks the FAM side to do.
@@ -174,44 +173,6 @@ impl std::error::Error for DecodePacketError {}
 pub const PACKET_BYTES: usize = 16;
 
 impl Packet {
-    /// Builds a packet whose wire tag carries a traced request's
-    /// identity ([`RequestId::wire_tag`]), so a frame captured
-    /// anywhere on the fabric can be matched back to its span in a
-    /// trace — and responses still match the outstanding-mapping list,
-    /// which compares tags verbatim.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use fam_fabric::packet::{Packet, PacketKind};
-    /// use fam_sim::RequestId;
-    /// use fam_vm::NodeId;
-    ///
-    /// let p = Packet::for_request(
-    ///     PacketKind::Read,
-    ///     NodeId::new(1),
-    ///     0xF00,
-    ///     true,
-    ///     RequestId(0x2_0009),
-    /// );
-    /// assert_eq!(p.tag, 9, "tag is the request id's low 16 bits");
-    /// ```
-    pub fn for_request(
-        kind: PacketKind,
-        source: NodeId,
-        addr: u64,
-        verified: bool,
-        req: RequestId,
-    ) -> Packet {
-        Packet {
-            kind,
-            source,
-            addr,
-            verified,
-            tag: req.wire_tag(),
-        }
-    }
-
     /// Serializes the packet to its wire form, CRC trailer included.
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(PACKET_BYTES);
@@ -294,27 +255,6 @@ mod tests {
                 assert_eq!(Packet::decode(&p.encode()).unwrap(), p);
             }
         }
-    }
-
-    #[test]
-    fn for_request_ties_tag_to_request_id() {
-        let p = Packet::for_request(
-            PacketKind::Write,
-            NodeId::new(2),
-            0xABC,
-            false,
-            RequestId(0xBEEF_0011),
-        );
-        assert_eq!(p.tag, 0x0011);
-        assert_eq!(Packet::decode(&p.encode()).unwrap(), p);
-        let untraced = Packet::for_request(
-            PacketKind::Read,
-            NodeId::new(0),
-            0,
-            true,
-            RequestId::UNTRACED,
-        );
-        assert_eq!(untraced.tag, 0, "untraced requests keep the zero tag");
     }
 
     #[test]

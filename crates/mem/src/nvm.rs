@@ -107,16 +107,6 @@ impl NvmModel {
         done
     }
 
-    /// The read latency in cycles.
-    pub fn read_latency(&self) -> Duration {
-        self.read_latency
-    }
-
-    /// The write latency in cycles.
-    pub fn write_latency(&self) -> Duration {
-        self.write_latency
-    }
-
     /// Total reads serviced.
     pub fn reads(&self) -> u64 {
         self.reads.value()

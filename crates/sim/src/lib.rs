@@ -24,16 +24,15 @@
 //!   (packet drop/corruption, link-down windows, STU stalls, stale
 //!   translations) that is a zero-cost no-op when disabled.
 //! * [`trace`] — request-lifecycle tracing: typed [`TraceEvent`]s in a
-//!   bounded ring buffer with drop accounting, per-stage latency
-//!   histograms, a Chrome trace-event exporter and a windowed time
+//!   bounded ring buffer with drop accounting, one per-stage latency
+//!   breakdown, a Chrome trace-event exporter and a windowed time
 //!   series; like the fault injector, a zero-cost no-op when disabled.
 //! * [`profile`] — a scoped *host-time* profiler: RAII [`PhaseId`]
 //!   spans accumulate per-thread into a hierarchical [`ProfileReport`]
 //!   (self vs. children time, folded-stack export); one relaxed atomic
 //!   load when disabled.
-//! * [`registry`] — a unified named metrics [`Registry`] with
-//!   snapshot/diff/merge, the substrate of end-of-run conservation
-//!   audits.
+//! * [`registry`] — a unified named metrics [`Registry`] of counters
+//!   and ratios, the substrate of end-of-run conservation audits.
 //! * [`json`] — a minimal JSON reader, used to check the trace exporter
 //!   and to read benchmark artifacts back.
 //!

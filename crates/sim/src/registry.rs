@@ -3,40 +3,38 @@
 //! Components accumulate into [`crate::stats`] types scattered across
 //! the system model; this module gives them one flat, **named**
 //! namespace (`node0/tlb`, `nvm2/reads`, `fabric/traversals`, …) so
-//! tooling can snapshot a run's metrics, diff two snapshots, merge
-//! shards, and — crucially — run cross-metric *conservation audits*
-//! ("every reference generated was retired", "FAM traffic totals match
-//! the per-module sums") without knowing where each number lives.
+//! tooling can read a run's metrics and — crucially — run cross-metric
+//! *conservation audits* ("every reference generated was retired",
+//! "FAM traffic totals match the per-module sums") without knowing
+//! where each number lives.
 //!
 //! Names are plain strings ordered lexicographically (a `BTreeMap`),
-//! so iteration, [`fmt::Display`] and diffs are deterministic.
+//! so iteration and [`fmt::Display`] are deterministic.
 //!
 //! # Examples
 //!
 //! ```
 //! use fam_sim::registry::Registry;
 //!
-//! let mut before = Registry::new();
-//! before.counter("fabric/traversals").add(10);
-//! let mut after = before.snapshot();
-//! after.counter("fabric/traversals").add(5);
-//! let delta = after.diff(&before);
-//! assert_eq!(delta.counter_value("fabric/traversals"), Some(5));
+//! let mut r = Registry::new();
+//! r.counter("fabric/traversals").add(10);
+//! r.counter("fabric/traversals").inc();
+//! r.ratio("node0/tlb").record(true);
+//! assert_eq!(r.counter_value("fabric/traversals"), Some(11));
+//! assert_eq!(r.ratio_value("node0/tlb").unwrap().hits(), 1);
 //! ```
 
-use crate::stats::{Counter, Histogram, Ratio};
+use crate::stats::{Counter, Ratio};
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// One named metric: a counter, a hit/miss ratio, or a histogram.
+/// One named metric: a counter or a hit/miss ratio.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Metric {
     /// A monotonically increasing event count.
     Counter(Counter),
     /// A hit/miss ratio.
     Ratio(Ratio),
-    /// A sample distribution.
-    Histogram(Histogram),
 }
 
 impl fmt::Display for Metric {
@@ -44,12 +42,11 @@ impl fmt::Display for Metric {
         match self {
             Metric::Counter(c) => write!(f, "{c}"),
             Metric::Ratio(r) => write!(f, "{r}"),
-            Metric::Histogram(h) => write!(f, "{h}"),
         }
     }
 }
 
-/// A flat name → metric map with snapshot / diff / merge.
+/// A flat, name-ordered name → metric map.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Registry {
     metrics: BTreeMap<String, Metric>,
@@ -96,23 +93,6 @@ impl Registry {
         }
     }
 
-    /// Returns the histogram registered under `name`, creating it
-    /// empty on first use.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is already registered with a different type.
-    pub fn histogram(&mut self, name: &str) -> &mut Histogram {
-        match self
-            .metrics
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Histogram(Histogram::new()))
-        {
-            Metric::Histogram(h) => h,
-            other => panic!("metric `{name}` is a {}, not a histogram", kind(other)),
-        }
-    }
-
     /// Looks up a metric by name.
     pub fn get(&self, name: &str) -> Option<&Metric> {
         self.metrics.get(name)
@@ -148,75 +128,12 @@ impl Registry {
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Metric)> {
         self.metrics.iter().map(|(k, v)| (k.as_str(), v))
     }
-
-    /// A point-in-time copy of every metric.
-    pub fn snapshot(&self) -> Registry {
-        self.clone()
-    }
-
-    /// Merges another registry into this one: counters add, ratios
-    /// merge, histograms merge; names absent here are inserted.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug) if a shared name has mismatched types; in
-    /// release the other side's value is ignored.
-    pub fn merge(&mut self, other: &Registry) {
-        for (name, theirs) in &other.metrics {
-            match self.metrics.get_mut(name) {
-                None => {
-                    self.metrics.insert(name.clone(), theirs.clone());
-                }
-                Some(mine) => match (mine, theirs) {
-                    (Metric::Counter(a), Metric::Counter(b)) => a.add(b.value()),
-                    (Metric::Ratio(a), Metric::Ratio(b)) => a.merge(*b),
-                    (Metric::Histogram(a), Metric::Histogram(b)) => a.merge(b),
-                    (mine, _) => {
-                        debug_assert!(
-                            false,
-                            "metric `{name}`: cannot merge {} into {}",
-                            kind(theirs),
-                            kind(mine)
-                        );
-                    }
-                },
-            }
-        }
-    }
-
-    /// Saturating difference `self - base`, name by name: the metrics
-    /// accumulated *between* two snapshots of the same system.
-    ///
-    /// Names absent from `base` pass through unchanged; names absent
-    /// from `self` (or type-mismatched) are dropped.
-    pub fn diff(&self, base: &Registry) -> Registry {
-        let mut out = Registry::new();
-        for (name, mine) in &self.metrics {
-            let metric = match (mine, base.metrics.get(name)) {
-                (m, None) => m.clone(),
-                (Metric::Counter(a), Some(Metric::Counter(b))) => {
-                    Metric::Counter(Counter::from(a.value().saturating_sub(b.value())))
-                }
-                (Metric::Ratio(a), Some(Metric::Ratio(b))) => Metric::Ratio(Ratio::from_parts(
-                    a.hits().saturating_sub(b.hits()),
-                    a.misses().saturating_sub(b.misses()),
-                )),
-                (Metric::Histogram(a), Some(Metric::Histogram(b))) => {
-                    Metric::Histogram(a.saturating_diff(b))
-                }
-                _ => continue,
-            };
-            out.metrics.insert(name.clone(), metric);
-        }
-        out
-    }
 }
 
 fn kind(m: &Metric) -> &'static str {
     match m {
         Metric::Counter(_) => "counter",
         Metric::Ratio(_) => "ratio",
-        Metric::Histogram(_) => "histogram",
     }
 }
 
@@ -239,8 +156,7 @@ mod tests {
         r.counter("a/events").add(3);
         r.counter("a/events").inc();
         r.ratio("a/hits").record(true);
-        r.histogram("a/lat").record(100);
-        assert_eq!(r.len(), 3);
+        assert_eq!(r.len(), 2);
         assert_eq!(r.counter_value("a/events"), Some(4));
         assert_eq!(r.counter_value("a/hits"), None, "type-checked lookup");
         assert_eq!(r.ratio_value("a/hits").unwrap().hits(), 1);
@@ -252,47 +168,6 @@ mod tests {
         let mut r = Registry::new();
         r.ratio("x").record(true);
         r.counter("x");
-    }
-
-    #[test]
-    fn snapshot_diff_isolates_interval() {
-        let mut r = Registry::new();
-        r.counter("c").add(10);
-        r.ratio("r").record(true);
-        r.histogram("h").record(5);
-        let before = r.snapshot();
-        r.counter("c").add(7);
-        r.ratio("r").record(false);
-        r.histogram("h").record(9);
-        r.counter("new").add(1);
-        let delta = r.diff(&before);
-        assert_eq!(delta.counter_value("c"), Some(7));
-        let ratio = delta.ratio_value("r").unwrap();
-        assert_eq!((ratio.hits(), ratio.misses()), (0, 1));
-        assert_eq!(delta.counter_value("new"), Some(1));
-        match delta.get("h").unwrap() {
-            Metric::Histogram(h) => {
-                assert_eq!(h.count(), 1);
-                assert_eq!(h.sum(), 9);
-            }
-            other => panic!("expected histogram, got {other}"),
-        }
-    }
-
-    #[test]
-    fn merge_folds_shards() {
-        let mut a = Registry::new();
-        a.counter("c").add(1);
-        a.ratio("r").record(true);
-        let mut b = Registry::new();
-        b.counter("c").add(2);
-        b.counter("only-b").add(9);
-        b.histogram("h").record(4);
-        a.merge(&b);
-        assert_eq!(a.counter_value("c"), Some(3));
-        assert_eq!(a.counter_value("only-b"), Some(9));
-        assert!(matches!(a.get("h"), Some(Metric::Histogram(_))));
-        assert_eq!(a.ratio_value("r").unwrap().hits(), 1);
     }
 
     #[test]

@@ -50,14 +50,6 @@ impl Counter {
     }
 }
 
-impl From<u64> for Counter {
-    /// Creates a counter holding `value` — used by registry
-    /// snapshot/diff arithmetic.
-    fn from(value: u64) -> Counter {
-        Counter(value)
-    }
-}
-
 impl fmt::Display for Counter {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.0)
@@ -88,12 +80,6 @@ impl Ratio {
     /// Creates an empty ratio.
     pub fn new() -> Ratio {
         Ratio::default()
-    }
-
-    /// Creates a ratio from pre-counted hit/miss totals — used by
-    /// registry snapshot/diff arithmetic.
-    pub fn from_parts(hits: u64, misses: u64) -> Ratio {
-        Ratio { hits, misses }
     }
 
     /// Records a hit.
@@ -271,9 +257,8 @@ impl Histogram {
         self.max
     }
 
-    /// Merges another histogram into this one, bucket by bucket —
-    /// the aggregation step that folds per-core and per-node stage
-    /// histograms into a run-level latency breakdown.
+    /// Merges another histogram into this one, bucket by bucket, so
+    /// merging equals recording every sample into one histogram.
     ///
     /// # Examples
     ///
@@ -296,23 +281,6 @@ impl Histogram {
         self.count = self.count.saturating_add(other.count);
         self.sum = self.sum.saturating_add(other.sum);
         self.max = self.max.max(other.max);
-    }
-
-    /// Bucket-wise saturating difference `self - base`, for diffing a
-    /// later snapshot against an earlier one of the same histogram.
-    ///
-    /// `max` is carried over from `self`: buckets and sums are
-    /// monotonic under `record` so subtraction recovers the interval
-    /// exactly, but the interval's true maximum is not recoverable —
-    /// the carried value is an upper bound.
-    pub fn saturating_diff(&self, base: &Histogram) -> Histogram {
-        let mut out = self.clone();
-        for (mine, theirs) in out.buckets.iter_mut().zip(&base.buckets) {
-            *mine = mine.saturating_sub(*theirs);
-        }
-        out.count = self.count.saturating_sub(base.count);
-        out.sum = self.sum.saturating_sub(base.sum);
-        out
     }
 
     /// Resets all buckets.
@@ -536,7 +504,8 @@ mod tests {
 
     #[test]
     fn saturating_arithmetic_pins_instead_of_wrapping() {
-        let mut c = Counter::from(u64::MAX - 1);
+        let mut c = Counter::new();
+        c.add(u64::MAX - 1);
         c.add(100);
         assert_eq!(c.value(), u64::MAX);
         c.inc();
@@ -552,24 +521,5 @@ mod tests {
         h.merge(&other);
         assert_eq!(h.sum(), u64::MAX);
         assert_eq!(h.count(), 3);
-    }
-
-    #[test]
-    fn histogram_saturating_diff_recovers_interval() {
-        let mut base = Histogram::new();
-        for v in [1, 2, 3] {
-            base.record(v);
-        }
-        let mut later = base.clone();
-        for v in [10, 2000] {
-            later.record(v);
-        }
-        let diff = later.saturating_diff(&base);
-        assert_eq!(diff.count(), 2);
-        assert_eq!(diff.sum(), 2010);
-        let mut interval = Histogram::new();
-        interval.record(10);
-        interval.record(2000);
-        assert_eq!(diff.quantile(0.5), interval.quantile(0.5));
     }
 }

@@ -8,7 +8,7 @@
 //! hand: timing layers emit typed [`TraceEvent`]s (a request id, a
 //! pipeline [`Stage`], a hardware [`Track`], start/end cycles) into a
 //! [`Tracer`], which retains them in a bounded ring buffer with
-//! explicit drop accounting and folds every event into a per-stage
+//! explicit drop accounting and folds every event into one per-stage
 //! [`LatencyBreakdown`] of [`Histogram`]s.
 //!
 //! Two sinks read the tracer out:
@@ -20,14 +20,24 @@
 //!   total FAM traffic, retry/recovery counters per N-cycle interval)
 //!   for plotting phase behaviour over a run.
 //!
+//! # Request identity
+//!
+//! The tracer owns the in-flight request. The driver hands each
+//! reference's id to [`Tracer::begin`] once, and every event site
+//! records with [`Tracer::span`]`(stage, track, start, end)`, which
+//! stamps the current id onto the event. No request id crosses a
+//! component interface (STU, retry state, wire packet): a component
+//! stays independent of the observability layer.
+//!
 //! # The zero-overhead-off contract
 //!
 //! Like [`FaultInjector`](crate::FaultInjector), a disabled tracer is
-//! a zero-cost no-op: every event site in the timing code is guarded
-//! by one [`Tracer::is_enabled`] branch, a disabled tracer allocates
-//! no ring storage and consumes nothing, and a fixed-seed run with
-//! tracing off is bit-identical to the same run with the trace layer
-//! compiled in — the integration tests pin this down the same way
+//! a zero-cost no-op: every event site in the timing code is one
+//! inlined [`Tracer::span`] call whose single `enabled` branch is the
+//! whole cost, a disabled tracer allocates no ring storage and
+//! consumes nothing, and a fixed-seed run with tracing off is
+//! bit-identical to the same run with the trace layer compiled in —
+//! the integration tests pin this down the same way
 //! `tests/tests/scheduler.rs` pins scheduler equivalence. Tracing is
 //! pure observation: enabling it never changes a report's timing or
 //! traffic fields, only the [`LatencyBreakdown`] it carries.
@@ -39,9 +49,10 @@ use crate::json::Json;
 use crate::stats::Histogram;
 use crate::Cycle;
 
-/// Identity of one simulated memory reference, threaded through the
-/// hot path (node → translator → fabric packet tag → STU → NVM) so
-/// every event of one reference's lifetime can be correlated.
+/// Identity of one simulated memory reference: every event of one
+/// reference's lifetime carries it, so the events can be correlated.
+/// It lives in the [`Tracer`] ([`Tracer::begin`]), not in the
+/// components the reference passes through.
 ///
 /// Id `0` is reserved: [`RequestId::UNTRACED`] marks requests issued
 /// while tracing is off (the disabled tracer hands it out without
@@ -56,13 +67,6 @@ impl RequestId {
     /// Whether this id belongs to a traced request.
     pub fn is_traced(self) -> bool {
         self.0 != 0
-    }
-
-    /// The low 16 bits, sized to the wire-packet `tag` field (the
-    /// outstanding-request window is far smaller than 2^16, so the
-    /// truncation is unambiguous among in-flight requests).
-    pub fn wire_tag(self) -> u16 {
-        self.0 as u16
     }
 }
 
@@ -179,16 +183,6 @@ impl Track {
             Track::Nvm(m) => format!("nvm{m}"),
         }
     }
-
-    /// The per-node breakdown this track's events aggregate into:
-    /// node-side tracks fold into their node's histograms, device
-    /// tracks into the shared device-side slot.
-    fn node_index(self) -> Option<usize> {
-        match self {
-            Track::Node(n) | Track::Stu(n) | Track::Fabric(n) => Some(n as usize),
-            Track::Nvm(_) => None,
-        }
-    }
 }
 
 impl fmt::Display for Track {
@@ -299,9 +293,11 @@ impl Default for TraceConfig {
 /// Per-stage latency histograms — the run-level decomposition of where
 /// a reference's cycles went.
 ///
-/// Aggregation is hierarchical: the tracer keeps one breakdown per
-/// node (plus one for the device side) and [`Histogram::merge`]s them
-/// into the run-level breakdown at report time.
+/// The tracer records every span into one breakdown; [`merge`]
+/// (bucket-wise, like [`Histogram::merge`]) folds breakdowns of
+/// separate runs together.
+///
+/// [`merge`]: LatencyBreakdown::merge
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LatencyBreakdown {
     stages: [Histogram; Stage::COUNT],
@@ -453,31 +449,29 @@ impl WindowSeries {
     }
 }
 
-/// The telemetry hub: a bounded event ring with drop accounting,
-/// per-node latency breakdowns, and the windowed time series.
+/// The telemetry hub: the in-flight request id, a bounded event ring
+/// with drop accounting, the run's latency breakdown, and the windowed
+/// time series.
 ///
 /// # Examples
 ///
 /// ```
-/// use fam_sim::trace::{Stage, TraceConfig, TraceEvent, Tracer, Track};
+/// use fam_sim::trace::{Stage, TraceConfig, Tracer, Track};
 /// use fam_sim::Cycle;
 ///
-/// let mut t = Tracer::new(TraceConfig::full(), 1);
+/// let mut t = Tracer::new(TraceConfig::full());
 /// let req = t.next_request();
-/// t.record(TraceEvent {
-///     req,
-///     stage: Stage::NvmAccess,
-///     track: Track::Nvm(0),
-///     start: Cycle(100),
-///     end: Cycle(220),
-/// });
+/// t.begin(req);
+/// t.span(Stage::NvmAccess, Track::Nvm(0), Cycle(100), Cycle(220));
 /// assert_eq!(t.recorded(), 1);
+/// assert_eq!(t.events().next().unwrap().req, req);
 /// assert_eq!(t.breakdown().stage(Stage::NvmAccess).max(), 120);
 ///
 /// // Disabled: one branch, nothing consumed.
 /// let mut off = Tracer::disabled();
-/// assert!(!off.is_enabled());
 /// assert!(!off.next_request().is_traced());
+/// off.span(Stage::NvmAccess, Track::Nvm(0), Cycle(100), Cycle(220));
+/// assert_eq!(off.recorded(), 0);
 /// ```
 #[derive(Debug)]
 pub struct Tracer {
@@ -487,15 +481,14 @@ pub struct Tracer {
     recorded: u64,
     dropped: u64,
     next_req: u64,
-    node_breakdowns: Vec<LatencyBreakdown>,
-    device_breakdown: LatencyBreakdown,
+    current: RequestId,
+    breakdown: LatencyBreakdown,
     series: WindowSeries,
 }
 
 impl Tracer {
-    /// Creates a tracer for a system of `nodes` nodes. A disabled
-    /// configuration allocates nothing.
-    pub fn new(config: TraceConfig, nodes: usize) -> Tracer {
+    /// Creates a tracer. A disabled configuration allocates no ring.
+    pub fn new(config: TraceConfig) -> Tracer {
         let enabled = config.enabled;
         Tracer {
             ring: Vec::with_capacity(if enabled { config.ring_capacity } else { 0 }),
@@ -503,12 +496,8 @@ impl Tracer {
             recorded: 0,
             dropped: 0,
             next_req: 0,
-            node_breakdowns: if enabled {
-                vec![LatencyBreakdown::new(); nodes]
-            } else {
-                Vec::new()
-            },
-            device_breakdown: LatencyBreakdown::new(),
+            current: RequestId::UNTRACED,
+            breakdown: LatencyBreakdown::new(),
             series: WindowSeries::new(if enabled { config.window_cycles } else { 0 }),
             config,
         }
@@ -516,13 +505,7 @@ impl Tracer {
 
     /// A disabled tracer (the default for every system).
     pub fn disabled() -> Tracer {
-        Tracer::new(TraceConfig::disabled(), 0)
-    }
-
-    /// The single branch every event site pays when tracing is off.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.config.enabled
+        Tracer::new(TraceConfig::disabled())
     }
 
     /// Whether the time series is being collected.
@@ -552,22 +535,41 @@ impl Tracer {
         self.next_req
     }
 
-    /// Records one event: folds it into the owning breakdown and
-    /// pushes it onto the ring (overwriting the oldest event, with
-    /// drop accounting, once the ring is full).
-    ///
-    /// Callers guard with [`Tracer::is_enabled`]; recording on a
-    /// disabled tracer is a no-op.
+    /// Makes `req` the in-flight request: every [`Tracer::span`] until
+    /// the next `begin` is attributed to it.
+    #[inline]
+    pub fn begin(&mut self, req: RequestId) {
+        self.current = req;
+    }
+
+    /// Records that the in-flight request occupied `track` doing
+    /// `stage` from `start` to `end`. This is every event site's one
+    /// call: on a disabled tracer it is a single branch and nothing
+    /// else.
+    #[inline]
+    pub fn span(&mut self, stage: Stage, track: Track, start: Cycle, end: Cycle) {
+        if self.config.enabled {
+            self.record(TraceEvent {
+                req: self.current,
+                stage,
+                track,
+                start,
+                end,
+            });
+        }
+    }
+
+    /// Records one event: folds it into the breakdown and pushes it
+    /// onto the ring (overwriting the oldest event, with drop
+    /// accounting, once the ring is full). Recording on a disabled
+    /// tracer is a no-op.
     pub fn record(&mut self, ev: TraceEvent) {
         if !self.config.enabled {
             return;
         }
         debug_assert!(ev.end >= ev.start, "trace span must not run backwards");
         self.recorded += 1;
-        match ev.track.node_index() {
-            Some(n) => self.node_breakdowns[n].record(ev.stage, ev.cycles()),
-            None => self.device_breakdown.record(ev.stage, ev.cycles()),
-        }
+        self.breakdown.record(ev.stage, ev.cycles());
         // Ring push with overwrite-oldest drop accounting.
         if self.config.ring_capacity == 0 {
             return;
@@ -609,20 +611,9 @@ impl Tracer {
         self.ring[self.head..].iter().chain(&self.ring[..self.head])
     }
 
-    /// The device-side (NVM-track) breakdown.
-    pub fn device_breakdown(&self) -> &LatencyBreakdown {
-        &self.device_breakdown
-    }
-
-    /// The run-level breakdown: every per-node breakdown and the
-    /// device-side breakdown merged ([`Histogram::merge`] per stage).
-    pub fn breakdown(&self) -> LatencyBreakdown {
-        let mut total = LatencyBreakdown::new();
-        for b in &self.node_breakdowns {
-            total.merge(b);
-        }
-        total.merge(&self.device_breakdown);
-        total
+    /// The run-level breakdown of every recorded span.
+    pub fn breakdown(&self) -> &LatencyBreakdown {
+        &self.breakdown
     }
 
     /// The windowed time series.
@@ -764,11 +755,13 @@ mod tests {
     #[test]
     fn disabled_tracer_is_inert() {
         let mut t = Tracer::disabled();
-        assert!(!t.is_enabled());
+        assert!(!t.config().enabled);
         assert!(!t.wants_windows());
         assert_eq!(t.next_request(), RequestId::UNTRACED);
         assert_eq!(t.next_request(), RequestId::UNTRACED, "no counter consumed");
         t.record(ev(1, Stage::TlbLookup, Track::Node(0), 0, 5));
+        t.begin(RequestId(7));
+        t.span(Stage::PtWalk, Track::Node(0), Cycle(5), Cycle(9));
         t.sample(Cycle(10), WindowSample::default());
         assert_eq!(t.recorded(), 0);
         assert_eq!(t.retained(), 0);
@@ -778,20 +771,26 @@ mod tests {
 
     #[test]
     fn request_ids_are_sequential_and_tagged() {
-        let mut t = Tracer::new(TraceConfig::full(), 1);
+        let mut t = Tracer::new(TraceConfig::full());
         let a = t.next_request();
         let b = t.next_request();
         assert_eq!(a, RequestId(1));
         assert_eq!(b, RequestId(2));
         assert!(a.is_traced());
-        assert_eq!(RequestId(0x1_0007).wire_tag(), 7, "tag is the low 16 bits");
         assert_eq!(t.requests_issued(), 2);
+        // Spans carry the in-flight request set by `begin`.
+        t.begin(b);
+        t.span(Stage::TlbLookup, Track::Node(0), Cycle(0), Cycle(2));
+        t.begin(a);
+        t.span(Stage::PtWalk, Track::Node(0), Cycle(2), Cycle(9));
+        let reqs: Vec<RequestId> = t.events().map(|e| e.req).collect();
+        assert_eq!(reqs, vec![b, a]);
     }
 
     #[test]
     fn ring_overflow_drops_oldest_and_accounts() {
         let cfg = TraceConfig::full().with_ring_capacity(3);
-        let mut t = Tracer::new(cfg, 1);
+        let mut t = Tracer::new(cfg);
         for i in 0..5u64 {
             t.record(ev(
                 i + 1,
@@ -812,7 +811,7 @@ mod tests {
 
     #[test]
     fn breakdown_only_mode_retains_nothing() {
-        let mut t = Tracer::new(TraceConfig::breakdown_only(), 2);
+        let mut t = Tracer::new(TraceConfig::breakdown_only());
         t.record(ev(1, Stage::FabricSend, Track::Fabric(1), 0, 100));
         assert_eq!(t.retained(), 0);
         assert_eq!(t.dropped(), 0, "no ring means no overflow to account");
@@ -822,12 +821,11 @@ mod tests {
 
     #[test]
     fn breakdowns_aggregate_per_node_and_device() {
-        let mut t = Tracer::new(TraceConfig::breakdown_only(), 2);
+        let mut t = Tracer::new(TraceConfig::breakdown_only());
         t.record(ev(1, Stage::TlbLookup, Track::Node(0), 0, 2));
         t.record(ev(1, Stage::StuWalk, Track::Stu(0), 2, 12));
         t.record(ev(2, Stage::TlbLookup, Track::Node(1), 0, 4));
         t.record(ev(1, Stage::NvmAccess, Track::Nvm(0), 12, 42));
-        assert_eq!(t.device_breakdown().total_samples(), 1);
         let run = t.breakdown();
         assert_eq!(run.total_samples(), 4);
         assert_eq!(run.stage(Stage::TlbLookup).count(), 2);
@@ -838,7 +836,7 @@ mod tests {
     #[test]
     fn window_series_buckets_by_completion() {
         let cfg = TraceConfig::full().with_window_cycles(100);
-        let mut t = Tracer::new(cfg, 1);
+        let mut t = Tracer::new(cfg);
         let s = |i: u64| WindowSample {
             instructions: i,
             fam_at: 1,
@@ -870,7 +868,7 @@ mod tests {
 
     #[test]
     fn chrome_trace_is_valid_and_counts_events() {
-        let mut t = Tracer::new(TraceConfig::full(), 1);
+        let mut t = Tracer::new(TraceConfig::full());
         t.record(ev(1, Stage::FabricSend, Track::Fabric(0), 0, 1000));
         t.record(ev(1, Stage::NvmAccess, Track::Nvm(0), 1000, 1120));
         t.record(ev(1, Stage::FabricRecv, Track::Fabric(0), 1120, 2120));

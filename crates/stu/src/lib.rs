@@ -38,4 +38,4 @@ mod cache;
 mod unit;
 
 pub use cache::{StuCache, StuConfig, StuOrganization};
-pub use unit::{DeactVerification, IFamTranslation, Stu, StuStats, UnmappedFault};
+pub use unit::{DeactVerification, Stu, StuStats, UnmappedFault};

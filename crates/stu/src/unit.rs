@@ -2,7 +2,6 @@
 
 use fam_broker::{AccessKind, MemoryBroker};
 use fam_sim::stats::Counter;
-use fam_sim::RequestId;
 use fam_vm::{NodeId, PageWalker, PtwCache, WalkPlan};
 
 use crate::{StuCache, StuConfig};
@@ -24,29 +23,9 @@ pub struct StuStats {
     pub denials: Counter,
 }
 
-/// Outcome of an I-FAM STU access: coupled translation + verification.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IFamTranslation {
-    /// The request whose packet this access served (echoed back so the
-    /// caller can attribute the walk/fetch costs to the right trace
-    /// span).
-    pub req: RequestId,
-    /// The FAM page backing the node page.
-    pub fam_page: u64,
-    /// Whether the STU cache held the entry.
-    pub cache_hit: bool,
-    /// On a miss, the FAM page-table walk that was performed; each
-    /// access is a read the timing layer must charge to the FAM.
-    pub walk: Option<WalkPlan>,
-    /// Whether the access passed verification.
-    pub allowed: bool,
-}
-
 /// Outcome of a DeACT verification (the `V = 1` fast path).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeactVerification {
-    /// The request whose packet this verification served.
-    pub req: RequestId,
     /// Whether the ACM was resident in the STU cache.
     pub acm_hit: bool,
     /// FAM byte address of the metadata block fetched on a miss
@@ -64,8 +43,6 @@ pub struct DeactVerification {
 /// (§II-C: an address-translation-service request to the broker).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UnmappedFault {
-    /// The request whose packet hit the hole.
-    pub req: RequestId,
     /// The faulting node-physical page.
     pub npa_page: u64,
     /// The walk performed before discovering the hole (still costs
@@ -93,7 +70,6 @@ impl std::error::Error for UnmappedFault {}
 ///
 /// ```
 /// use fam_broker::{AccessKind, BrokerConfig, MemoryBroker};
-/// use fam_sim::RequestId;
 /// use fam_stu::{Stu, StuConfig, StuOrganization};
 ///
 /// let mut broker = MemoryBroker::new(BrokerConfig::default());
@@ -104,7 +80,7 @@ impl std::error::Error for UnmappedFault {}
 ///     organization: StuOrganization::DeactN,
 ///     ..StuConfig::default()
 /// });
-/// let v = stu.verify(&broker, node, fam_page, AccessKind::Read, RequestId::UNTRACED);
+/// let v = stu.verify(&broker, node, fam_page, AccessKind::Read);
 /// assert!(v.allowed);
 /// assert!(!v.acm_hit); // first touch fetches the metadata block
 /// ```
@@ -145,12 +121,6 @@ impl Stu {
         self.cache.config()
     }
 
-    /// Read-only access to the organisation-specific cache (admission
-    /// probes).
-    pub fn cache(&self) -> &StuCache {
-        &self.cache
-    }
-
     /// I-FAM coupled-entry lookup: counts one verification and
     /// consults the cache for the node page's FAM page.
     pub fn ifam_lookup(&mut self, npa_page: u64) -> Option<u64> {
@@ -174,58 +144,6 @@ impl Stu {
         self.cache.acm_fill(fam_page)
     }
 
-    /// The I-FAM data path: translate a node page and verify the
-    /// access in one coupled step (Fig. 2b).
-    ///
-    /// On a cache miss the STU walks the node's system page table; the
-    /// returned [`WalkPlan`] lists the FAM reads to charge.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UnmappedFault`] when the system table has no mapping;
-    /// the caller asks the broker to demand-map and retries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is not registered with the broker, or if this
-    /// STU is not configured with the I-FAM organisation.
-    pub fn ifam_access(
-        &mut self,
-        broker: &MemoryBroker,
-        node: NodeId,
-        npa_page: u64,
-        kind: AccessKind,
-        req: RequestId,
-    ) -> Result<IFamTranslation, UnmappedFault> {
-        let _prof = fam_sim::profile::span(fam_sim::profile::PhaseId::Stu);
-        if let Some(fam_page) = self.ifam_lookup(npa_page) {
-            let allowed = broker.check_access(node, fam_page, kind);
-            if !allowed {
-                self.stats.denials.inc();
-            }
-            return Ok(IFamTranslation {
-                req,
-                fam_page,
-                cache_hit: true,
-                walk: None,
-                allowed,
-            });
-        }
-        let (fam_page, walk) = self.walk_system_table(broker, node, npa_page, req)?;
-        self.cache.ifam_fill(npa_page, fam_page);
-        let allowed = broker.check_access(node, fam_page, kind);
-        if !allowed {
-            self.stats.denials.inc();
-        }
-        Ok(IFamTranslation {
-            req,
-            fam_page,
-            cache_hit: false,
-            walk: Some(walk),
-            allowed,
-        })
-    }
-
     /// The DeACT verification path (`V = 1` packets): the request
     /// already carries a FAM address; only access control is checked
     /// (§III-D). On an ACM-cache miss the metadata block address is
@@ -240,7 +158,6 @@ impl Stu {
         node: NodeId,
         fam_page: u64,
         kind: AccessKind,
-        req: RequestId,
     ) -> DeactVerification {
         let _prof = fam_sim::profile::span(fam_sim::profile::PhaseId::Stu);
         self.stats.verifications.inc();
@@ -265,7 +182,6 @@ impl Stu {
             self.stats.denials.inc();
         }
         DeactVerification {
-            req,
             acm_hit,
             acm_fetch_addr,
             bitmap_fetch_addr,
@@ -288,7 +204,6 @@ impl Stu {
         broker: &MemoryBroker,
         node: NodeId,
         npa_page: u64,
-        req: RequestId,
     ) -> Result<(u64, WalkPlan), UnmappedFault> {
         let _prof = fam_sim::profile::span(fam_sim::profile::PhaseId::Stu);
         let table = broker
@@ -300,7 +215,6 @@ impl Stu {
         match plan.mapping {
             Some(pte) => Ok((pte.target_page, plan)),
             None => Err(UnmappedFault {
-                req,
                 npa_page,
                 walk_reads: plan.reads(),
             }),
@@ -360,8 +274,6 @@ mod tests {
     use fam_broker::BrokerConfig;
     use fam_vm::PtFlags;
 
-    const REQ: RequestId = RequestId::UNTRACED;
-
     fn setup(org: StuOrganization) -> (MemoryBroker, NodeId, Stu) {
         let mut broker = MemoryBroker::new(BrokerConfig {
             fam_bytes: 2 << 30,
@@ -379,29 +291,24 @@ mod tests {
     fn ifam_miss_walks_then_hits() {
         let (mut broker, node, mut stu) = setup(StuOrganization::IFam);
         let fam_page = broker.demand_map(node, 0x50).unwrap();
-        let t = stu
-            .ifam_access(&broker, node, 0x50, AccessKind::Read, REQ)
-            .unwrap();
-        assert_eq!(t.fam_page, fam_page);
-        assert!(!t.cache_hit);
-        assert_eq!(t.walk.as_ref().unwrap().reads(), 4);
-        assert!(t.allowed);
+        assert_eq!(stu.ifam_lookup(0x50), None, "cold coupled entry");
+        let (walked, plan) = stu.walk_system_table(&broker, node, 0x50).unwrap();
+        assert_eq!(walked, fam_page);
+        assert_eq!(plan.reads(), 4);
+        stu.ifam_fill(0x50, walked);
+        assert!(broker.check_access(node, walked, AccessKind::Read));
 
-        let t2 = stu
-            .ifam_access(&broker, node, 0x50, AccessKind::Read, REQ)
-            .unwrap();
-        assert!(t2.cache_hit);
-        assert!(t2.walk.is_none());
+        assert_eq!(stu.ifam_lookup(0x50), Some(fam_page), "filled entry hits");
         assert_eq!(stu.stats().walks.value(), 1);
         assert_eq!(stu.stats().walk_reads.value(), 4);
+        assert_eq!(stu.stats().verifications.value(), 2);
     }
 
     #[test]
     fn ifam_unmapped_faults_to_broker() {
         let (broker, node, mut stu) = setup(StuOrganization::IFam);
-        let err = stu
-            .ifam_access(&broker, node, 0x99, AccessKind::Read, REQ)
-            .unwrap_err();
+        assert_eq!(stu.ifam_lookup(0x99), None);
+        let err = stu.walk_system_table(&broker, node, 0x99).unwrap_err();
         assert_eq!(err.npa_page, 0x99);
         assert!(err.walk_reads >= 1);
         assert!(!err.to_string().is_empty());
@@ -411,20 +318,20 @@ mod tests {
     fn ifam_denies_foreign_access() {
         let (mut broker, node, mut stu) = setup(StuOrganization::IFam);
         let intruder = broker.register_node().unwrap();
-        broker.demand_map(node, 0x10).unwrap();
+        let fam_page = broker.demand_map(node, 0x10).unwrap();
         // The intruder somehow issues a request for the victim's node
         // page: the walk uses *the intruder's* table, which has no such
         // mapping -> fault, not leak.
-        assert!(stu
-            .ifam_access(&broker, intruder, 0x10, AccessKind::Read, REQ)
-            .is_err());
+        assert_eq!(stu.ifam_lookup(0x10), None);
+        assert!(stu.walk_system_table(&broker, intruder, 0x10).is_err());
+        assert!(!broker.check_access(intruder, fam_page, AccessKind::Read));
     }
 
     #[test]
     fn deact_verify_fetches_metadata_once() {
         let (mut broker, node, mut stu) = setup(StuOrganization::DeactN);
         let fam_page = broker.demand_map(node, 0x10).unwrap();
-        let v1 = stu.verify(&broker, node, fam_page, AccessKind::Read, REQ);
+        let v1 = stu.verify(&broker, node, fam_page, AccessKind::Read);
         assert!(v1.allowed);
         assert!(!v1.acm_hit);
         let expected = broker
@@ -433,7 +340,7 @@ mod tests {
         assert_eq!(v1.acm_fetch_addr, Some(expected));
         assert_eq!(v1.bitmap_fetch_addr, None, "owned page needs no bitmap");
 
-        let v2 = stu.verify(&broker, node, fam_page, AccessKind::Read, REQ);
+        let v2 = stu.verify(&broker, node, fam_page, AccessKind::Read);
         assert!(v2.acm_hit);
         assert_eq!(v2.acm_fetch_addr, None);
         assert_eq!(stu.stats().acm_fetches.value(), 1);
@@ -444,7 +351,7 @@ mod tests {
         let (mut broker, node, mut stu) = setup(StuOrganization::DeactN);
         let intruder = broker.register_node().unwrap();
         let fam_page = broker.demand_map(node, 0x10).unwrap();
-        let v = stu.verify(&broker, intruder, fam_page, AccessKind::Read, REQ);
+        let v = stu.verify(&broker, intruder, fam_page, AccessKind::Read);
         assert!(!v.allowed, "decoupling must not bypass access control");
         assert_eq!(stu.stats().denials.value(), 1);
     }
@@ -454,11 +361,11 @@ mod tests {
         let (mut broker, node, mut stu) = setup(StuOrganization::DeactN);
         let fam_page = broker.demand_map(node, 0x10).unwrap();
         assert!(
-            stu.verify(&broker, node, fam_page, AccessKind::Write, REQ)
+            stu.verify(&broker, node, fam_page, AccessKind::Write)
                 .allowed
         );
         assert!(
-            !stu.verify(&broker, node, fam_page, AccessKind::Execute, REQ)
+            !stu.verify(&broker, node, fam_page, AccessKind::Execute)
                 .allowed,
             "demand-mapped pages are RW, not X"
         );
@@ -470,12 +377,12 @@ mod tests {
         let seg = broker
             .share_segment(4, &[(node, PtFlags::rw(), 0x200)])
             .unwrap();
-        let v = stu.verify(&broker, node, seg.first_page, AccessKind::Write, REQ);
+        let v = stu.verify(&broker, node, seg.first_page, AccessKind::Write);
         assert!(v.allowed);
         assert!(v.bitmap_fetch_addr.is_some());
         assert_eq!(stu.stats().bitmap_fetches.value(), 1);
         // Once cached, no more fetches.
-        let v2 = stu.verify(&broker, node, seg.first_page, AccessKind::Write, REQ);
+        let v2 = stu.verify(&broker, node, seg.first_page, AccessKind::Write);
         assert!(v2.acm_hit);
         assert_eq!(v2.bitmap_fetch_addr, None);
     }
@@ -485,10 +392,10 @@ mod tests {
         let (mut broker, node, mut stu) = setup(StuOrganization::DeactN);
         broker.demand_map(node, 0x40).unwrap();
         broker.demand_map(node, 0x41).unwrap();
-        let (_, plan1) = stu.walk_system_table(&broker, node, 0x40, REQ).unwrap();
+        let (_, plan1) = stu.walk_system_table(&broker, node, 0x40).unwrap();
         assert_eq!(plan1.reads(), 4);
         // Neighbouring page: interior levels are PTW-cached.
-        let (_, plan2) = stu.walk_system_table(&broker, node, 0x41, REQ).unwrap();
+        let (_, plan2) = stu.walk_system_table(&broker, node, 0x41).unwrap();
         assert_eq!(plan2.reads(), 1);
     }
 
@@ -496,9 +403,9 @@ mod tests {
     fn invalidate_forces_refetch() {
         let (mut broker, node, mut stu) = setup(StuOrganization::DeactN);
         let fam_page = broker.demand_map(node, 0x10).unwrap();
-        stu.verify(&broker, node, fam_page, AccessKind::Read, REQ);
+        stu.verify(&broker, node, fam_page, AccessKind::Read);
         stu.invalidate_page(fam_page);
-        let v = stu.verify(&broker, node, fam_page, AccessKind::Read, REQ);
+        let v = stu.verify(&broker, node, fam_page, AccessKind::Read);
         assert!(!v.acm_hit);
     }
 
@@ -507,23 +414,17 @@ mod tests {
         let (mut broker, node, mut stu) = setup(StuOrganization::DeactN);
         let fam_a = broker.demand_map(node, 0x40).unwrap();
         let fam_b = broker.demand_map(node, 0x41).unwrap();
-        stu.verify(&broker, node, fam_a, AccessKind::Read, REQ);
-        stu.verify(&broker, node, fam_b, AccessKind::Read, REQ);
-        stu.walk_system_table(&broker, node, 0x40, REQ).unwrap();
+        stu.verify(&broker, node, fam_a, AccessKind::Read);
+        stu.verify(&broker, node, fam_b, AccessKind::Read);
+        stu.walk_system_table(&broker, node, 0x40).unwrap();
         let ops = stu.shootdown([fam_a]);
         assert_eq!(ops, 2, "one entry + the PTW flush");
         // The shot-down page re-fetches; the survivor still hits.
-        assert!(
-            !stu.verify(&broker, node, fam_a, AccessKind::Read, REQ)
-                .acm_hit
-        );
-        assert!(
-            stu.verify(&broker, node, fam_b, AccessKind::Read, REQ)
-                .acm_hit
-        );
+        assert!(!stu.verify(&broker, node, fam_a, AccessKind::Read).acm_hit);
+        assert!(stu.verify(&broker, node, fam_b, AccessKind::Read).acm_hit);
         // The PTW cache went cold: a neighbouring walk re-reads all
         // four levels.
-        let (_, plan) = stu.walk_system_table(&broker, node, 0x41, REQ).unwrap();
+        let (_, plan) = stu.walk_system_table(&broker, node, 0x41).unwrap();
         assert_eq!(plan.reads(), 4);
     }
 
@@ -531,9 +432,9 @@ mod tests {
     fn flush_clears_ptw_cache_too() {
         let (mut broker, node, mut stu) = setup(StuOrganization::DeactN);
         broker.demand_map(node, 0x40).unwrap();
-        stu.walk_system_table(&broker, node, 0x40, REQ).unwrap();
+        stu.walk_system_table(&broker, node, 0x40).unwrap();
         stu.flush();
-        let (_, plan) = stu.walk_system_table(&broker, node, 0x40, REQ).unwrap();
+        let (_, plan) = stu.walk_system_table(&broker, node, 0x40).unwrap();
         assert_eq!(plan.reads(), 4, "cold walk after flush");
     }
 }

@@ -14,7 +14,6 @@
 
 use fam_broker::{AccessKind, BrokerConfig, MemoryBroker};
 use fam_fabric::packet::{Packet, PacketKind};
-use fam_sim::RequestId;
 use fam_stu::{Stu, StuConfig, StuOrganization};
 use fam_vm::PtFlags;
 
@@ -50,13 +49,7 @@ fn main() {
         organization: StuOrganization::DeactN,
         ..StuConfig::default()
     });
-    let verdict = stu_b.verify(
-        &broker,
-        at_stu.source,
-        at_stu.addr / 4096,
-        AccessKind::Read,
-        RequestId::UNTRACED,
-    );
+    let verdict = stu_b.verify(&broker, at_stu.source, at_stu.addr / 4096, AccessKind::Read);
     println!(
         "  STU verdict: {} (ACM fetched from {:#x})",
         if verdict.allowed {
@@ -108,7 +101,7 @@ fn main() {
         } else {
             &mut stu_c
         };
-        let v = stu.verify(&broker, who, page, kind, RequestId::UNTRACED);
+        let v = stu.verify(&broker, who, page, kind);
         println!(
             "  {what:9} -> {}",
             if v.allowed { "allowed" } else { "denied" }

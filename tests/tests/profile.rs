@@ -181,28 +181,21 @@ fn conservation_audit_gates_follow_the_fault_regime() {
     assert!(audit.checks.iter().any(|c| c.detail.starts_with("skipped")));
 }
 
-/// The registry snapshot exposes stable names, and its `diff` isolates
-/// one run's worth of work from accumulated state.
+/// The registry snapshot exposes stable names: a fresh system reads
+/// zero retired references, and the post-run snapshot holds exactly one
+/// run's worth of work.
 #[test]
 fn registry_snapshot_diff_isolates_a_run() {
     let _guard = serialized();
     let w = Workload::by_name("astar").expect("table3 benchmark");
     let mut sys = System::new(base(Scheme::DeactN), &w);
     let before = sys.metrics();
+    assert_eq!(before.counter_value("node0/refs_done"), Some(0));
     sys.try_run().expect("run completes");
     let after = sys.metrics();
-    let delta = after.diff(&before);
-    let refs: u64 = delta
+    let refs: u64 = after
         .counter_value("node0/refs_done")
         .expect("named counter");
     assert_eq!(refs, 1_500 * 4, "refs_per_core x cores_per_node");
-    assert!(delta.counter_value("fabric/traversals").unwrap_or(0) > 0);
-    // Merging the delta back onto the baseline reproduces the final
-    // snapshot for every counter.
-    let mut rebuilt = before.snapshot();
-    rebuilt.merge(&delta);
-    assert_eq!(
-        rebuilt.counter_value("node0/refs_done"),
-        after.counter_value("node0/refs_done")
-    );
+    assert!(after.counter_value("fabric/traversals").unwrap_or(0) > 0);
 }

@@ -3,7 +3,6 @@
 
 use fam_broker::{AccessKind, AcmWidth, BrokerConfig, JobId, MemoryBroker};
 use fam_fabric::packet::{Packet, PacketKind};
-use fam_sim::RequestId;
 use fam_stu::{Stu, StuConfig, StuOrganization};
 use fam_vm::{NodeId, PtFlags};
 
@@ -31,22 +30,13 @@ fn forged_pretranslated_requests_are_denied_for_every_organisation() {
     for org in [StuOrganization::DeactW, StuOrganization::DeactN] {
         let mut s = stu(org);
         for kind in [AccessKind::Read, AccessKind::Write, AccessKind::Execute] {
-            let v = s.verify(&b, attacker, page, kind, RequestId::UNTRACED);
+            let v = s.verify(&b, attacker, page, kind);
             assert!(!v.allowed, "{org:?}/{kind:?} leaked");
         }
         // The rightful owner still gets through (RW, not X).
-        assert!(
-            s.verify(&b, victim, page, AccessKind::Read, RequestId::UNTRACED)
-                .allowed
-        );
-        assert!(
-            s.verify(&b, victim, page, AccessKind::Write, RequestId::UNTRACED)
-                .allowed
-        );
-        assert!(
-            !s.verify(&b, victim, page, AccessKind::Execute, RequestId::UNTRACED)
-                .allowed
-        );
+        assert!(s.verify(&b, victim, page, AccessKind::Read).allowed);
+        assert!(s.verify(&b, victim, page, AccessKind::Write).allowed);
+        assert!(!s.verify(&b, victim, page, AccessKind::Execute).allowed);
     }
 }
 
@@ -60,9 +50,8 @@ fn ifam_attacker_cannot_reach_foreign_mappings() {
     // The attacker's own system table has no mapping for that node
     // page, so the walk faults instead of leaking the victim's page.
     let mut s = stu(StuOrganization::IFam);
-    assert!(s
-        .ifam_access(&b, attacker, 0x10, AccessKind::Read, RequestId::UNTRACED)
-        .is_err());
+    assert_eq!(s.ifam_lookup(0x10), None);
+    assert!(s.walk_system_table(&b, attacker, 0x10).is_err());
 }
 
 #[test]
@@ -73,10 +62,7 @@ fn stale_stu_cache_cannot_outlive_migration_if_invalidated() {
     let page = b.demand_map(old, 0x20).unwrap();
 
     let mut s = stu(StuOrganization::DeactN);
-    assert!(
-        s.verify(&b, old, page, AccessKind::Read, RequestId::UNTRACED)
-            .allowed
-    );
+    assert!(s.verify(&b, old, page, AccessKind::Read).allowed);
 
     let report = b.migrate_node(old, new).unwrap();
     assert_eq!(report.pages_moved, 1);
@@ -84,14 +70,8 @@ fn stale_stu_cache_cannot_outlive_migration_if_invalidated() {
 
     // Ground truth moved; a re-verify (with cold cache) denies the old
     // node and allows the new one.
-    assert!(
-        !s.verify(&b, old, page, AccessKind::Read, RequestId::UNTRACED)
-            .allowed
-    );
-    assert!(
-        s.verify(&b, new, page, AccessKind::Read, RequestId::UNTRACED)
-            .allowed
-    );
+    assert!(!s.verify(&b, old, page, AccessKind::Read).allowed);
+    assert!(s.verify(&b, new, page, AccessKind::Read).allowed);
 }
 
 #[test]
@@ -155,14 +135,8 @@ fn revocation_takes_effect_for_later_verifications() {
     b.revoke_shared(seg.region, member);
     let mut s = stu(StuOrganization::DeactN);
     assert!(
-        !s.verify(
-            &b,
-            member,
-            seg.first_page,
-            AccessKind::Read,
-            RequestId::UNTRACED
-        )
-        .allowed
+        !s.verify(&b, member, seg.first_page, AccessKind::Read)
+            .allowed
     );
 }
 

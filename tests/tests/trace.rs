@@ -5,12 +5,13 @@
 //! event site and changes nothing — proven here the same way
 //! `scheduler.rs` proves scheduler equivalence, by comparing fixed-seed
 //! [`RunReport`]s bit for bit. The other tests cover the bounded ring's
-//! drop accounting, the Chrome trace-event exporter's output, and the
-//! windowed time series' books balancing against the run report.
+//! drop accounting, the Chrome trace-event exporter's output, the
+//! windowed time series' books balancing against the run report, and
+//! the event stream itself (ids, tracks, order) pinned by digest.
 
 use deact::{RunReport, Scheme, System, SystemConfig};
 use fam_sim::trace::{validate_chrome_json, write_chrome_trace};
-use fam_sim::{FaultConfig, LatencyBreakdown, TraceConfig, Track};
+use fam_sim::{FaultConfig, LatencyBreakdown, PersistentFault, TraceConfig, Track};
 use fam_workloads::Workload;
 
 fn run_with(cfg: SystemConfig) -> RunReport {
@@ -135,4 +136,86 @@ fn window_series_books_balance_against_the_report() {
     assert_eq!(instructions, report.instructions);
     assert_eq!(fam_total, report.fam.total());
     assert_eq!(fam_at, report.fam.at_total());
+}
+
+/// 64-bit FNV-1a of `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The event stream of three fault-struck runs, pinned by digest: every
+/// retained event's `(req, stage, track, start, end)` in ring order,
+/// then the `recorded`/`dropped`/`requests_issued` books. The golden
+/// matrix pins only the aggregated histograms; this pins which request
+/// each span is charged to, on which track, and in what order.
+#[test]
+fn event_stream_is_pinned_under_faults() {
+    let cases: [(&str, SystemConfig, u64); 3] = [
+        (
+            "i-fam/transient",
+            base(Scheme::IFam).with_fault_injection(FaultConfig::transient(0xFA)),
+            0xcf3e_e08d_af03_5e85,
+        ),
+        (
+            "deact-n/2x2/transient+node-dead",
+            base(Scheme::DeactN)
+                .with_nodes(2)
+                .with_fam_modules(2)
+                .with_refs_per_core(800)
+                .with_fault_injection(
+                    FaultConfig::transient(0xFA)
+                        .with_persistent(PersistentFault::NodeDead { module: 1 }, 500),
+                ),
+            0xd11b_7334_7fa3_99e8,
+        ),
+        (
+            "e-fam/2x2/node-dead",
+            base(Scheme::EFam)
+                .with_nodes(2)
+                .with_fam_modules(2)
+                .with_refs_per_core(800)
+                .with_fault_injection(FaultConfig::persistent_only(
+                    11,
+                    PersistentFault::NodeDead { module: 0 },
+                    800,
+                )),
+            0x7bd0_bd65_7371_cf54,
+        ),
+    ];
+    let w = Workload::by_name("astar").expect("table3 benchmark");
+    let mut actual = Vec::new();
+    for (label, cfg, _) in cases {
+        let cfg = cfg.with_trace(TraceConfig::full().with_ring_capacity(1 << 18));
+        let mut sys = System::new(cfg, &w);
+        let report = sys.try_run().expect("run completes");
+        if label.contains("transient") {
+            assert!(report.recovery.retries > 0, "{label}: faults must strike");
+        }
+        if label.contains("node-dead") {
+            assert!(
+                report.degradation.recovery_cycles > 0,
+                "{label}: the module must die mid-run"
+            );
+        }
+        let t = sys.tracer();
+        assert_eq!(t.dropped(), 0, "{label}: the ring must hold every event");
+        let mut text = String::new();
+        for ev in t.events() {
+            text.push_str(&format!(
+                "{} {:?} {:?} {} {}\n",
+                ev.req.0, ev.stage, ev.track, ev.start.0, ev.end.0
+            ));
+        }
+        text.push_str(&format!(
+            "{} {} {}",
+            t.recorded(),
+            t.dropped(),
+            t.requests_issued()
+        ));
+        actual.push((label, fnv1a(text.as_bytes())));
+    }
+    let pinned: Vec<(&str, u64)> = cases.iter().map(|c| (c.0, c.2)).collect();
+    assert_eq!(actual, pinned, "the traced event stream moved");
 }
